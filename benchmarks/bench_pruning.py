@@ -8,8 +8,8 @@ historical baseline that built one candidate per pair and scored all of
 them.  Three paths over one instance (the 10k-node / 50k-edge
 reference) and one mixed workload:
 
-* **unshared** — the pre-PR sweep, emulated pair by pair through the
-  engines' single-λ ``candidate()`` entry point (result-memoized, as the
+* **unshared** — the pre-PR sweep, emulated pair by pair through
+  one-λ ``candidates_for_root`` calls (result-memoized, as the
   historical service was);
 * **shared** — the service with ``prune=False``: work sharing only;
 * **pruned** — the service at defaults: work sharing + certified
@@ -25,8 +25,8 @@ Lemma-5 workload the λ sharing and candidate-level score pruning carry
 the win.
 
 Everything is gated on **bit-identity**: pruned and unpruned paths must
-return the same winning ``(nodes, root, λ)`` on every request, the dict
-and CSR backends must agree under default pruning, warm re-serves must
+return the same winning ``(nodes, root, λ)`` on every request, the
+pruned service must agree with the dict reference oracle, warm re-serves must
 equal cold ones, and all of it must survive a mutation epoch
 (``apply_delta`` + spot checks against one-shot ``wiener_steiner`` on
 the mutated graph).  The prune counters must exactly partition the
@@ -63,10 +63,10 @@ from bench_mutation import make_delta
 from bench_serving import make_workload
 from bench_sharded import identical
 
-from repro.core.service import ConnectorService, _lambda_grid, _root_list
 from repro.core.options import SolveOptions
+from repro.core.reference import reference_wiener_steiner
+from repro.core.service import ConnectorService, _lambda_grid, _root_list
 from repro.core.wiener_steiner import wiener_steiner
-from repro.graphs.csr import HAS_NUMPY
 
 
 def winner(result_or_tuple):
@@ -92,16 +92,15 @@ def unshared_sweep(service, options, query, memo):
 
     Same grid, same canonical order, same strict-improvement selection,
     same result memo the old service had — but every pair pays its own
-    reweighting pass through the engines' single-λ ``candidate()`` entry
-    point, and nothing is ever pruned.  This is the baseline the tentpole
+    reweighting pass through a one-λ ``candidates_for_root`` call, and
+    nothing is ever pruned.  This is the baseline the tentpole
     replaced, kept runnable here so the comparison stays honest.
     """
     query_set = frozenset(query)
     memo_key = (query_set, options)
     if memo_key in memo:
         return memo[memo_key]
-    backend_name = service._backend_name(options)
-    engine = service._engine(backend_name)
+    engine = service._engine()
     roots = _root_list(options, query_set)
     for root in roots:
         engine.unreachable_queries(root, query_set)
@@ -115,7 +114,9 @@ def unshared_sweep(service, options, query, memo):
     scored: dict = {}
     for lam in grid:
         for root in roots:
-            candidate = engine.candidate(root, lam, query_set, options.adjust)
+            [candidate] = engine.candidates_for_root(
+                root, [lam], query_set, options.adjust
+            )
             if candidate in scored:
                 continue
             key = service._score_candidate(engine, candidate, root, options)
@@ -238,14 +239,12 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(args.seed)
     graph, _ = build_instance(args.nodes, args.edges, args.query_size, args.seed)
     requests = make_requests(graph, args, rng)
-    backend = "csr" if HAS_NUMPY else "dict"
-    pruned_opts = SolveOptions(backend=backend)
+    pruned_opts = SolveOptions()
     unpruned_opts = pruned_opts.replace(prune=False)
     print(
         f"instance: {graph}, {len(requests)} requests "
         f"({args.requests} Zipf + {args.ablation} root-ablation with "
-        f"{args.extra_roots} extra roots), backend={backend}, "
-        f"seed={args.seed}",
+        f"{args.extra_roots} extra roots), seed={args.seed}",
         flush=True,
     )
 
@@ -298,15 +297,12 @@ def main(argv: list[str] | None = None) -> int:
     warm_winners, _ = serve(pruned_service, pruned_opts, requests)
     warm_identical = warm_winners == pruned_winners
 
-    # --- identity: dict and CSR agree under default pruning -------------
-    cross_backend = True
-    if HAS_NUMPY:
-        dict_service = ConnectorService(graph, SolveOptions(backend="dict"))
-        spot = [q for q, roots in requests if roots is None][:2]
-        cross_backend = all(
-            identical(dict_service.solve(q), pruned_service.solve(q))
-            for q in spot
-        )
+    # --- identity: the dict reference oracle agrees with the pruned winner
+    spot = [q for q, roots in requests if roots is None][:2]
+    oracle_agrees = all(
+        winner(reference_wiener_steiner(graph, q)) == winner(pruned_service.solve(q))
+        for q in spot
+    )
 
     # --- identity across a mutation epoch -------------------------------
     delta = make_delta(graph, rng, args.delta_ops)
@@ -335,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     counters_partition = stats.pairs_pruned + stats.pairs_scored == total_pairs
 
     print(f"identity: paths-agree={winners_agree} warm={warm_identical} "
-          f"cross-backend={cross_backend} post-epoch={post_identical} "
+          f"oracle={oracle_agrees} post-epoch={post_identical} "
           f"spot-vs-one-shot={spot_identical} (epoch {epoch})")
 
     failures = []
@@ -343,8 +339,8 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("unshared, shared, and pruned sweeps disagree")
     if not warm_identical:
         failures.append("warm re-serve differs from the cold pruned sweep")
-    if not cross_backend:
-        failures.append("dict and csr backends disagree under default pruning")
+    if not oracle_agrees:
+        failures.append("the dict reference oracle disagrees with the pruned winner")
     if not post_identical:
         failures.append("pruned and unpruned sweeps disagree after the epoch flip")
     if not spot_identical:
@@ -390,7 +386,6 @@ def main(argv: list[str] | None = None) -> int:
                     "roots with random distant vertices — the regime "
                     "where certified root-level pruning fires",
         },
-        "backend": backend,
         "repeats": args.repeats,
         "unshared_ms_per_query": round(unshared_ms, 2),
         "shared_ms_per_query": round(shared_ms, 2),
@@ -406,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         "identical_connectors": {
             "paths_agree": winners_agree,
             "warm_equals_cold": warm_identical,
-            "dict_equals_csr": cross_backend,
+            "dict_equals_csr": oracle_agrees,
             "across_mutation_epoch": post_identical,
             "spot_vs_one_shot": spot_identical,
         },

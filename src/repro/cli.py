@@ -110,9 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--selection", default="auto",
                        choices=("a", "wiener", "auto", "sampled"),
                        help="candidate scoring policy (default auto)")
-    query.add_argument("--backend", default="auto",
-                       choices=("auto", "csr", "dict"),
-                       help="solver backend (default auto)")
     query.add_argument("--no-prune", action="store_true",
                        help="disable certified λ×root sweep pruning "
                             "(ablation; the connector is bit-identical "
@@ -531,7 +528,6 @@ def _run_query(args: argparse.Namespace) -> int:
         method=args.method,
         beta=args.beta,
         selection=args.selection,
-        backend=args.backend,
         prune=not args.no_prune,
     )
     wants_footer = bool(args.batch) and not args.as_json

@@ -51,7 +51,6 @@ from repro.core.weighted import (
     wiener_steiner_weighted,
 )
 from repro.core.wiener_steiner import (
-    CSR_AUTO_THRESHOLD,
     EXACT_SCORING_THRESHOLD,
     minimum_wiener_connector,
     wiener_steiner,
@@ -94,7 +93,6 @@ __all__ = [
     "steiner_tree_unweighted",
     "tree_total_weight",
     "voronoi_dijkstra_canonical",
-    "CSR_AUTO_THRESHOLD",
     "EXACT_SCORING_THRESHOLD",
     "minimum_wiener_connector",
     "parallel_wiener_steiner",

@@ -1,4 +1,4 @@
-"""CSR fast path for WienerSteiner — the array backend of Algorithm 1.
+"""CSR engine for WienerSteiner — the array implementation of Algorithm 1.
 
 The seed implementation rebuilt a hashable-node ``WeightedGraph`` for every
 ``(root, λ)`` Steiner instance and ran every traversal as dict/deque BFS.
@@ -11,202 +11,65 @@ whole sweep and replaces each inner loop with array operations:
   single vectorized expression over a per-root ``max(d_r[u], d_r[v])`` arc
   array — one numpy line per λ instead of ``O(|E|)`` dict inserts per
   ``(root, λ)`` pair;
-* Mehlhorn phase 1 (:func:`mehlhorn_steiner_csr`) runs an array-heap
-  multi-source Dijkstra directly over ``(indptr, indices, weights)`` and
-  reduces the crossing-edge candidates with one ``lexsort``;
+* Mehlhorn phase 1 (:func:`mehlhorn_steiner_csr`) takes distances from
+  scipy's C Dijkstra, rebuilds the canonical Voronoi forest from them with
+  array operations, and reduces the crossing-edge candidates with one
+  ``lexsort``;
 * candidate scoring reuses the CSR structure through
   :meth:`CSRGraph.induced` index masks instead of ``graph.subgraph``
   rebuilds.
 
-Tie-breaking everywhere is by the relabeled integer index — the same
-canonical rule the dict backend applies through its order map — and phases
-2–3 of Mehlhorn are literally shared code
-(:func:`repro.core.steiner.steiner_tree_from_voronoi`), so
-``backend="csr"`` returns the *same connector* as ``backend="dict"``, just
-one to two orders of magnitude faster on large graphs.
+Tie-breaking everywhere is by the relabeled integer index, and phases 2–3
+of Mehlhorn are shared code
+(:func:`repro.core.steiner.steiner_tree_from_voronoi`), so the engine
+returns the *same connector* as the dict reference oracle
+(:func:`repro.core.reference.reference_wiener_steiner`), one to two
+orders of magnitude faster on large graphs.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections.abc import Iterable
 
+import numpy as np
+from scipy.sparse import csr_matrix as _scipy_csr_matrix
+from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
+
 from repro.core.adjust import adjust_distances
 from repro.core.lru import LRUCache
 from repro.core.steiner import steiner_tree_from_voronoi
-from repro.graphs.csr import (
-    HAS_NUMPY,
-    CSRGraph,
-    np,
-    scipy_csr_matrix as _scipy_csr_matrix,
-    scipy_dijkstra as _scipy_dijkstra,
-)
+from repro.errors import GraphError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph, Node, WeightedGraph
 
-__all__ = [
-    "CSRWienerSteinerEngine",
-    "dijkstra_distances_csr",
-    "mehlhorn_steiner_csr",
-    "voronoi_dijkstra_csr",
-]
+__all__ = ["CSRWienerSteinerEngine", "mehlhorn_steiner_csr"]
 
 
-def voronoi_dijkstra_csr(
-    indptr: list[int],
-    indices: list[int],
-    weights: list[float],
-    num_nodes: int,
-    source_indices: Iterable[int],
-) -> tuple[list[float], list[int], list[int]]:
-    """Array-heap multi-source Dijkstra (Mehlhorn phase 1) on flat CSR lists.
+def _voronoi_phase(csr: CSRGraph, weights, terminals: list[int], matrix=None):
+    """Mehlhorn phase 1: distances from scipy's C Dijkstra, then the forest.
 
-    Plain Python lists beat numpy arrays here: the heap loop does scalar
-    indexing, where ndarray ``__getitem__`` overhead dominates.  Heap keys
-    are ``(dist, source_idx, node_idx, parent_idx)`` — identical to
-    :func:`repro.core.steiner.voronoi_dijkstra_canonical`, so both backends
-    settle every node with the same distance, source, and parent.
+    Weights must be strictly positive (every ``G_{r,λ}`` instance
+    qualifies: ``w ≥ λ > 0``, and :class:`~repro.core.options.SolveOptions`
+    rejects λ ≤ 0).  Then only the *distances* need a Dijkstra — the
+    canonical ``(parent, closest)`` are a pure function of the distance
+    array (:func:`_voronoi_from_distances`), and the float min-plus
+    fixpoint is unique, so scipy returns the bits the dict oracle's heap
+    loop does.
     """
-    inf = math.inf
-    n = num_nodes
-    dist = [inf] * n
-    parent = [-1] * n
-    closest = [-1] * n
-    best = [inf] * n
-    settled = bytearray(n)
-    # Heap entries are (dist, packed) with packed = (s*n + v)*(n+1) + (p+1):
-    # ordering by packed equals ordering by (s, v, p), so pops happen in the
-    # exact (dist, source, node, parent) order of the dict twin while tuple
-    # construction and comparison stay cheap in the hot loop.
-    base = n + 1
-    heap: list[tuple[float, int]] = []
-    for source_idx in sorted(set(source_indices)):
-        best[source_idx] = 0.0
-        heap.append((0.0, (source_idx * n + source_idx) * base))
-    heapq.heapify(heap)
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        d, packed = pop(heap)
-        rest = packed // base
-        u_idx = rest % n
-        if settled[u_idx]:
-            continue
-        settled[u_idx] = 1
-        dist[u_idx] = d
-        source_base = rest - u_idx  # == s * n
-        closest[u_idx] = source_base // n
-        parent[u_idx] = packed % base - 1
-        u_tag = u_idx + 1
-        lo = indptr[u_idx]
-        hi = indptr[u_idx + 1]
-        for v_idx, weight in zip(indices[lo:hi], weights[lo:hi]):
-            if settled[v_idx]:
-                continue
-            candidate = d + weight
-            if candidate < best[v_idx]:
-                best[v_idx] = candidate
-                push(heap, (candidate, (source_base + v_idx) * base + u_tag))
-    return dist, parent, closest
-
-
-def _voronoi_phase(
-    csr: CSRGraph,
-    weights,
-    terminals: list[int],
-    indptr_list: list[int] | None = None,
-    indices_list: list[int] | None = None,
-    matrix=None,
-):
-    """Mehlhorn phase 1, fastest available route.
-
-    For strictly positive weights (every ``G_{r,λ}`` instance qualifies:
-    ``w ≥ λ > 0``), only the *distances* need a Dijkstra — the canonical
-    ``(parent, closest)`` are a pure function of the distance array
-    (:func:`_voronoi_from_distances`).  Distances come from scipy's C
-    Dijkstra when available, else the Python array-heap; both give the
-    same bits, because the float min-plus fixpoint is unique for
-    non-negative weights.  Zero weights fall back to the canonical
-    settle-order heap (:func:`voronoi_dijkstra_csr`), matching the dict
-    backend's branch exactly.
-    """
-    positive = bool(len(weights)) and float(weights.min()) > 0.0
-    if positive and _scipy_dijkstra is not None:
-        n = csr.num_nodes
-        if matrix is not None:
-            # A persistent caller (the engine) hands us a preassembled
-            # matrix over the same (indptr, indices); only the weight
-            # buffer changes between candidates, so skip scipy's
-            # construction-time validation and just overwrite the data.
-            matrix.data[:] = weights
-        else:
-            matrix = _scipy_csr_matrix(
-                (weights, csr.indices, csr.indptr), shape=(n, n)
-            )
-        dist_arr = _scipy_dijkstra(
-            matrix, directed=True, indices=terminals, min_only=True
-        )
-        parent, closest = _voronoi_from_distances(csr, weights, dist_arr, terminals)
-        return dist_arr, parent, closest
-    if indptr_list is None:
-        indptr_list = csr.indptr.tolist()
-    if indices_list is None:
-        indices_list = csr.indices.tolist()
-    if not positive:
-        return voronoi_dijkstra_csr(
-            indptr_list, indices_list, weights.tolist(), csr.num_nodes, terminals
-        )
-    dist = dijkstra_distances_csr(
-        indptr_list, indices_list, weights.tolist(), csr.num_nodes, terminals
-    )
-    dist_arr = np.asarray(dist, dtype=np.float64)
+    n = csr.num_nodes
+    if matrix is not None:
+        # A persistent caller (the engine) hands us a preassembled matrix
+        # over the same (indptr, indices); only the weight buffer changes
+        # between candidates, so skip scipy's construction-time
+        # validation and just overwrite the data.
+        matrix.data[:] = weights
+    else:
+        matrix = _scipy_csr_matrix((weights, csr.indices, csr.indptr), shape=(n, n))
+    dist_arr = _scipy_dijkstra(matrix, directed=True, indices=terminals, min_only=True)
     parent, closest = _voronoi_from_distances(csr, weights, dist_arr, terminals)
     return dist_arr, parent, closest
-
-
-def dijkstra_distances_csr(
-    indptr: list[int],
-    indices: list[int],
-    weights: list[float],
-    num_nodes: int,
-    source_indices: Iterable[int],
-) -> list[float]:
-    """Distance-only multi-source Dijkstra on flat CSR lists.
-
-    The CSR twin of
-    :func:`repro.core.steiner.dijkstra_distances_canonical`: 2-tuple heap
-    entries, no parent/source bookkeeping.  Distances are tie-free, so
-    this returns the same bits as the packed-key loop or scipy — it just
-    does strictly less work per edge when only distances are needed.
-    """
-    inf = math.inf
-    dist = [inf] * num_nodes
-    best = [inf] * num_nodes
-    settled = bytearray(num_nodes)
-    heap: list[tuple[float, int]] = []
-    for source_idx in sorted(set(source_indices)):
-        best[source_idx] = 0.0
-        heap.append((0.0, source_idx))
-    heapq.heapify(heap)
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        d, u_idx = pop(heap)
-        if settled[u_idx]:
-            continue
-        settled[u_idx] = 1
-        dist[u_idx] = d
-        lo = indptr[u_idx]
-        hi = indptr[u_idx + 1]
-        for v_idx, weight in zip(indices[lo:hi], weights[lo:hi]):
-            if settled[v_idx]:
-                continue
-            candidate = d + weight
-            if candidate < best[v_idx]:
-                best[v_idx] = candidate
-                push(heap, (candidate, v_idx))
-    return dist
 
 
 def _voronoi_from_distances(
@@ -218,9 +81,9 @@ def _voronoi_from_distances(
     == dist[v]``, bit-exact — minimizing ``(dist[u], u)``; ``closest`` is
     the root of the resulting forest (every root is a source, because
     strictly positive weights force ``dist[parent] < dist[child]``).  The
-    dict backend applies the same rule edge-by-edge
+    dict Mehlhorn applies the same rule edge-by-edge
     (:func:`repro.core.steiner.canonical_forest_from_distances`), so both
-    backends reconstruct the same forest from the same distances.  Tight
+    reconstruct the same forest from the same distances.  Tight
     arcs number ``O(|V|)`` in practice and everything here is vectorized:
     one lexsort for parents, pointer-doubling for roots.
     """
@@ -255,13 +118,13 @@ def _voronoi_from_distances(
 def _crossing_candidates(
     csr: CSRGraph,
     weights,
-    dist: list[float],
-    closest: list[int],
+    dist,
+    closest,
     terminals_arr,
 ) -> dict[tuple[int, int], tuple[float, int, int]]:
     """Best crossing edge per terminal pair, via a scatter-min over arcs.
 
-    Matches the dict backend's per-key minimum of
+    Matches the dict Mehlhorn's per-key minimum of
     ``(length, min endpoint, max endpoint)`` exactly: lengths are always
     evaluated as ``dist[lo] + w + dist[hi]`` over the ``lo < hi`` arc
     orientation (bit-identical floats), ``np.minimum.at`` finds the exact
@@ -312,8 +175,6 @@ def mehlhorn_steiner_csr(
     csr: CSRGraph,
     weights,
     terminal_indices: Iterable[int],
-    indptr_list: list[int] | None = None,
-    indices_list: list[int] | None = None,
     matrix=None,
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """Mehlhorn's 2-approximation consuming ``(indptr, indices, weights)``.
@@ -321,10 +182,9 @@ def mehlhorn_steiner_csr(
     Returns ``(nodes, edges)`` of the pruned Steiner tree in index space —
     identical to what :func:`repro.core.steiner.mehlhorn_steiner_tree`
     returns (after relabeling) on the equivalent ``WeightedGraph``.
-    ``indptr_list``/``indices_list`` let callers reuse pre-converted flat
-    lists across many invocations (the engine does); ``matrix`` likewise
-    lets them reuse a preassembled scipy matrix whose data buffer is
-    overwritten with ``weights``.
+    ``weights`` must be strictly positive.  ``matrix`` lets callers reuse
+    a preassembled scipy matrix whose data buffer is overwritten with
+    ``weights`` (the engine does).
 
     Raises
     ------
@@ -334,9 +194,9 @@ def mehlhorn_steiner_csr(
     terminals = sorted(set(int(t) for t in terminal_indices))
     if len(terminals) == 1:
         return terminals, []
-    dist, parent, closest = _voronoi_phase(
-        csr, weights, terminals, indptr_list, indices_list, matrix
-    )
+    if len(weights) and not float(weights.min()) > 0.0:
+        raise GraphError("mehlhorn_steiner_csr needs strictly positive weights")
+    dist, parent, closest = _voronoi_phase(csr, weights, terminals, matrix)
     terminals_arr = np.asarray(terminals, dtype=np.int64)
     candidates = _crossing_candidates(csr, weights, dist, closest, terminals_arr)
     return steiner_tree_from_voronoi(
@@ -382,7 +242,7 @@ class _IndexHost:
 
 
 class CSRWienerSteinerEngine:
-    """Array-backend engine behind ``wiener_steiner`` and the serving API.
+    """The engine behind ``wiener_steiner`` and every serving path.
 
     Holds the CSR arrays, the per-root BFS caches (distances, canonical
     parents, and the per-arc ``max(d_r[u], d_r[v])`` used by the Lemma-4
@@ -412,30 +272,16 @@ class CSRWienerSteinerEngine:
         csr: CSRGraph | None = None,
         max_cached_roots: int | None = None,
     ) -> None:
-        if not HAS_NUMPY:  # pragma: no cover - guarded by the dispatcher
-            raise RuntimeError("the CSR backend requires numpy")
         if graph is None and csr is None:
             raise ValueError("need a graph or a prebuilt CSRGraph")
         self.graph = graph
         self.csr = csr if csr is not None else CSRGraph.from_graph(graph)
-        # Flat-list copies feed the pure-Python heap loops; the scipy route
-        # never touches them, so build them lazily.
-        self._indptr_list: list[int] | None = None
-        self._indices_list: list[int] | None = None
         self._root_cache = LRUCache(max_cached_roots)
         self._matrix = None
 
-    def _flat_lists(self) -> tuple[list[int], list[int]]:
-        if self._indptr_list is None:
-            self._indptr_list = self.csr.indptr.tolist()
-            self._indices_list = self.csr.indices.tolist()
-        return self._indptr_list, self._indices_list
-
     def _scipy_matrix(self):
         """A reusable scipy matrix over the CSR structure (weights buffer
-        overwritten per candidate); ``None`` when scipy is absent."""
-        if _scipy_csr_matrix is None:
-            return None
+        overwritten per candidate)."""
         if self._matrix is None:
             n = self.csr.num_nodes
             self._matrix = _scipy_csr_matrix(
@@ -467,12 +313,26 @@ class CSRWienerSteinerEngine:
     def apply_delta(self, delta, new_csr: CSRGraph) -> tuple[int, int]:
         """Rebase onto post-delta arrays with scoped root-cache invalidation.
 
-        Adopts ``new_csr`` (dropping every structure derived from the old
-        arrays: flat lists, the scipy matrix), then decides each cached
-        root entry's fate from its *pre-delta* ``dist`` array and the
-        delta — the same provable-invariance rules as
-        :meth:`repro.core.wiener_steiner._DictEngine.apply_delta`, in
-        index space.  Retained entries keep their ``(dist, parent)``
+        Adopts ``new_csr`` (dropping the scipy matrix derived from the old
+        arrays), then decides each cached root entry's fate from its
+        *pre-delta* ``dist`` array and the delta.  An entry survives only
+        when the delta **provably** preserves its BFS tree:
+
+        * insert ``(u, v)`` with both endpoints unreachable from the root
+          — the edge joins components the root never sees;
+        * insert with equal distances — a same-level edge lies on no
+          shortest path and previous-level neighbor sets are untouched;
+        * insert with distances differing by exactly 1 — distances are
+          preserved (a shortcut needs a gap ≥ 2), and the single possible
+          parent change (the deeper endpoint gaining a lower-index
+          previous-level neighbor) is fixed up in place;
+        * delete with both endpoints unreachable, or with a distance gap
+          ≠ 1 — shortest paths only use gap-1 edges, so no current
+          shortest path (and no canonical parent edge) is lost.
+
+        Everything else may move distances or parents, so the entry is
+        evicted; a delta that changes the node set evicts every entry.
+        Retained entries keep their ``(dist, parent)``
         arrays (with the gap-1 insert parent fix-up applied) and get
         their per-arc ``max`` array recomputed against the new arc
         layout — the exact expression a cold BFS would evaluate, over
@@ -480,8 +340,6 @@ class CSRWienerSteinerEngine:
         """
         old_num_nodes = self.csr.num_nodes
         self.csr = new_csr
-        self._indptr_list = None
-        self._indices_list = None
         self._matrix = None
         if new_csr.num_nodes != old_num_nodes:
             return 0, self._root_cache.clear()
@@ -538,22 +396,7 @@ class CSRWienerSteinerEngine:
         index_of = self.csr.index_of
         return [q for q in query_set if dist[index_of[q]] < 0]
 
-    # -- lines 7-11: one (root, λ) candidate --------------------------
-    def candidate(
-        self, root: Node, lam: float, query_set, adjust: bool
-    ) -> frozenset[Node]:
-        dist, parent, arc_max = self._root_data(root)
-        weights = lam + arc_max / lam
-        if bool((arc_max < 0).any()):
-            # Arcs inside components unreachable from the root: the dict
-            # backend omits them from G_{r,λ}; +inf is the array equivalent.
-            weights = np.where(arc_max < 0, np.inf, weights)
-        index_of = self.csr.index_of
-        terminals = sorted({index_of[q] for q in query_set} | {index_of[root]})
-        return self._candidate_from_weights(
-            weights, dist, parent, terminals, query_set, adjust, index_of[root]
-        )
-
+    # -- lines 7-11: candidates for one root across the λ grid --------
     def candidates_for_root(
         self, root: Node, lams, query_set, adjust: bool
     ) -> list[frozenset[Node]]:
@@ -561,10 +404,12 @@ class CSRWienerSteinerEngine:
 
         The whole grid's Lemma-4 weight rows are produced by a single
         broadcast ``λ[:, None] + arc_max[None, :] / λ[:, None]`` — the
-        same elementwise float64 divide-and-add :meth:`candidate`
-        evaluates per λ, so row ``i`` equals the single-λ weight array
-        bit for bit — and the unreachable-arc mask, terminal index set,
-        and root lookup are computed once instead of per λ.
+        same elementwise float64 divide-and-add a single λ evaluates, so
+        row ``i`` equals the single-λ weight array bit for bit — and the
+        unreachable-arc mask, terminal index set, and root lookup are
+        computed once instead of per λ.  Arcs inside components
+        unreachable from the root get weight ``+inf``: the dict oracle
+        omits them from ``G_{r,λ}``.
         """
         dist, parent, arc_max = self._root_data(root)
         lam_arr = np.asarray(list(lams), dtype=np.float64)
@@ -588,22 +433,13 @@ class CSRWienerSteinerEngine:
         self, weights, dist, parent, terminals, query_set, adjust: bool,
         root_idx: int,
     ) -> frozenset[Node]:
-        if _scipy_dijkstra is None:
-            indptr_list, indices_list = self._flat_lists()
-        else:
-            indptr_list = indices_list = None
         tree_nodes, tree_edges = mehlhorn_steiner_csr(
-            self.csr,
-            weights,
-            terminals,
-            indptr_list=indptr_list,
-            indices_list=indices_list,
-            matrix=self._scipy_matrix(),
+            self.csr, weights, terminals, matrix=self._scipy_matrix()
         )
         if adjust:
             # Rebuild the (small) tree with dict adjacency in canonical
             # insertion order so AdjustDistances walks it exactly like the
-            # dict backend walks its label-space twin.
+            # dict oracle walks its label-space twin.
             tree = WeightedGraph()
             for idx in tree_nodes:
                 tree.add_node(idx)
@@ -671,8 +507,8 @@ class CSRWienerSteinerEngine:
 
         Sources are drawn as *positions* into the canonically sorted node
         list (ascending relabeled index) with ``random.Random(seed)``, the
-        same rule the dict engine applies, so both backends estimate from
-        identical sources and the integer distance sums agree bit-for-bit.
+        same rule the dict oracle applies, so both estimate from identical
+        sources and the integer distance sums agree bit-for-bit.
         """
         sub = self.csr.induced(self.csr.indices_for(nodes))
         n = sub.num_nodes

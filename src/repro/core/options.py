@@ -1,8 +1,8 @@
 """Uniform solve configuration: :class:`SolveOptions` and the :class:`Method` protocol.
 
 Before the serving redesign every entry point grew its own keyword soup —
-``wiener_steiner(beta, roots, selection, adjust, lambda_values, backend)``,
-``parallel_wiener_steiner(max_workers, beta, adjust, backend)``,
+``wiener_steiner(beta, roots, selection, adjust, lambda_values)``,
+``parallel_wiener_steiner(max_workers, beta, adjust)``,
 ``wiener_steiner_weighted(beta, max_lambda_values)`` — and the baseline
 registry used a third, positional-only convention.  This module collapses
 all of that into two small contracts:
@@ -17,14 +17,16 @@ all of that into two small contracts:
   ``ctp``) satisfy it, so the experiment harness and the CLI dispatch
   through one registry without per-method signatures.
 
-``SolveOptions`` validates eagerly: a typo'd ``selection`` or a negative
-``beta`` fails at construction, not halfway through a λ×root sweep.
+``SolveOptions`` validates eagerly: a typo'd ``selection``, a negative
+``beta`` or a non-positive λ fails at construction, not halfway through a
+λ×root sweep.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from collections.abc import Iterable
 from typing import Protocol, runtime_checkable
 
@@ -52,9 +54,6 @@ def stable_repr(value) -> str:
 #: Valid candidate-scoring policies (see :data:`SolveOptions.selection`).
 SELECTIONS = ("a", "wiener", "auto", "sampled")
 
-#: Valid engine backends (see :data:`SolveOptions.backend`).
-BACKENDS = ("auto", "csr", "dict")
-
 
 @dataclasses.dataclass(frozen=True)
 class SolveOptions:
@@ -68,7 +67,7 @@ class SolveOptions:
         ``"cps"`` or ``"ctp"``.
     beta:
         λ-grid resolution of Algorithm 1 (the paper suggests ``β = 1``;
-        smaller β tries more λ values).
+        smaller β tries more λ values).  Must be positive and finite.
     roots:
         Candidate roots; ``None`` (default) means the query set itself
         (Lemma 5).  Normalized to a tuple so options stay hashable.
@@ -86,10 +85,9 @@ class SolveOptions:
         turning it off is an ablation).
     lambda_values:
         Explicit λ grid overriding the geometric sweep; normalized to a
-        tuple.
-    backend:
-        ``"auto"`` (default), ``"csr"`` or ``"dict"`` — both backends
-        return bit-identical connectors, see :mod:`repro.core.fastpath`.
+        tuple.  Every λ must be positive and finite: the Lemma-4 weights
+        ``λ + max(·)/λ`` are then at least λ > 0, the precondition of
+        the Dijkstra kernels in :mod:`repro.core.fastpath`.
     exact_threshold:
         Largest candidate scored exactly under ``"auto"``/``"sampled"``.
     sample_sources:
@@ -97,7 +95,7 @@ class SolveOptions:
     sample_seed:
         Seed of the ``"sampled"`` estimator's source choice — fixed so
         repeated scoring of one candidate is deterministic (and therefore
-        cacheable and backend-identical).
+        cacheable).
     prune:
         Apply certified landmark-bound pruning to the λ×root sweep
         (default on).  Pruning only ever skips ``(root, λ)`` pairs whose
@@ -115,7 +113,6 @@ class SolveOptions:
     selection: str = "auto"
     adjust: bool = True
     lambda_values: tuple[float, ...] | None = None
-    backend: str = "auto"
     exact_threshold: int = 600
     sample_sources: int = 64
     sample_seed: int = 0
@@ -132,22 +129,27 @@ class SolveOptions:
             object.__setattr__(self, "lambda_values", tuple(self.lambda_values))
         if not self.method or not isinstance(self.method, str):
             raise ValueError(f"method must be a non-empty string, got {self.method!r}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.selection not in SELECTIONS:
             raise ValueError(
                 f"unknown selection policy {self.selection!r}; "
                 f"choose from {SELECTIONS}"
             )
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
-        if self.lambda_values is not None and not self.lambda_values:
-            raise ValueError(
-                "lambda_values must be non-empty when given (omit it or "
-                "pass None for the geometric grid)"
-            )
+        if self.lambda_values is not None:
+            if not self.lambda_values:
+                raise ValueError(
+                    "lambda_values must be non-empty when given (omit it or "
+                    "pass None for the geometric grid)"
+                )
+            bad = [
+                lam for lam in self.lambda_values
+                if not (math.isfinite(lam) and lam > 0)
+            ]
+            if bad:
+                raise ValueError(
+                    f"lambda_values must be positive and finite, got {bad}"
+                )
         if self.exact_threshold < 0:
             raise ValueError(
                 f"exact_threshold must be non-negative, got {self.exact_threshold}"
@@ -236,4 +238,4 @@ class FunctionMethod:
         return f"{type(self).__name__}({self.name!r})"
 
 
-__all__ = ["BACKENDS", "SELECTIONS", "FunctionMethod", "Method", "SolveOptions", "stable_repr"]
+__all__ = ["SELECTIONS", "FunctionMethod", "Method", "SolveOptions", "stable_repr"]

@@ -40,7 +40,6 @@ def parallel_wiener_steiner(
     max_workers: int | None = None,
     beta: float = 1.0,
     adjust: bool = True,
-    backend: str = "auto",
 ) -> ConnectorResult:
     """Run WienerSteiner with one worker process per candidate root.
 
@@ -53,18 +52,14 @@ def parallel_wiener_steiner(
     Parameters
     ----------
     max_workers:
-        Process count; defaults to ``min(|Q|, os.cpu_count())``.
-    backend:
-        Forwarded to each worker's engine — ``"auto"`` (default),
-        ``"csr"``, or ``"dict"``.  CSR workers adopt the driver's shared
-        arrays; dict workers still receive the graph.
+        Process count; defaults to ``min(|Q|, os.cpu_count())``.  Each
+        worker adopts the driver's shared CSR arrays.
     """
     from repro.core.service import ConnectorService
 
     service = ConnectorService(
         graph,
-        SolveOptions(beta=beta, adjust=adjust, backend=backend,
-                     selection="wiener"),
+        SolveOptions(beta=beta, adjust=adjust, selection="wiener"),
     )
     return service.solve_parallel_roots(query, max_workers=max_workers)
 

@@ -29,7 +29,7 @@ Two properties carry that induction and are load-bearing:
   bound below therefore lower-bounds the candidate's score under *every*
   root that could end up scoring it, not just the generating one
   (:func:`proxy_score_floor` minimizes over the whole root list).
-* **Bounds must be bit-deterministic across backends, shard replicas,
+* **Bounds must be bit-deterministic across shard replicas,
   warm and cold caches.**  Everything here is integer arithmetic over
   exact per-root BFS distances — the tables the sweep has already forced
   for its reachability check — never floating point, never the optional

@@ -6,8 +6,9 @@ this module the public API was one-shot — every ``wiener_steiner()`` call
 rebuilt the CSR arrays, re-ran every root BFS, and threw all of it away.
 :class:`ConnectorService` is the layer that amortizes:
 
-* **one graph index** — the CSR arrays (or the dict engine's order map)
-  are built once at construction and shared by every query;
+* **one graph index** — the CSR arrays are built once (on the first
+  sweep) and shared by every query through one
+  :class:`~repro.core.fastpath.CSRWienerSteinerEngine`;
 * **per-root BFS caches with LRU bounds** — Algorithm 1's line-1 BFS data
   (distances, canonical parents, the Lemma-4 per-arc ``max`` array) is
   keyed by root and survives across queries, so workloads whose queries
@@ -25,8 +26,8 @@ rebuilt the CSR arrays, re-ran every root BFS, and threw all of it away.
   pickled ``Graph``; each worker process rebuilds its engine from the
   arrays once and then serves its share of the batch;
 * **optional landmark index** — a :class:`repro.graphs.landmarks.LandmarkIndex`
-  built once per service (on the shared CSR arrays when numpy is
-  available) for approximate distance queries alongside exact solves.
+  built once per service (on the shared CSR arrays) for approximate
+  distance queries alongside exact solves.
 
 Identity contract
 -----------------
@@ -59,6 +60,7 @@ from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from repro.core.fastpath import CSRWienerSteinerEngine
 from repro.core.lru import LRUCache
 from repro.core.options import SolveOptions
 from repro.core.pruning import candidate_bound, root_bound
@@ -67,22 +69,15 @@ from repro.core.versioned import (
     GraphDelta,
     VersionedIndex,
     csr_has_edge,
-    index_digest_of,
 )
-from repro.core.wiener_steiner import (
-    _lambda_grid,
-    _make_engine,
-    _resolve_backend,
-    _score,
-    _validate_query,
-)
+from repro.core.wiener_steiner import _lambda_grid, _score, _validate_query
 from repro.errors import (
     DeltaError,
     DisconnectedGraphError,
     GraphError,
     InvalidQueryError,
 )
-from repro.graphs.csr import HAS_NUMPY, CSRGraph
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph, Node
 
 __all__ = [
@@ -196,12 +191,7 @@ class SweepOutcome:
     lam: float | None
     candidates: int
     key: float
-    backend: str
     runtime_seconds: float
-
-
-#: Backwards-compatible private alias (pre-sharding name).
-_Solved = SweepOutcome
 
 
 class ConnectorService:
@@ -253,9 +243,8 @@ class ConnectorService:
         # path is apply_delta, which versions the copy.
         self.graph = graph.copy() if graph is not None else None
         self.options = options if options is not None else SolveOptions()
-        self._csr = csr
         self._versioned = VersionedIndex(self.graph, csr, epoch=epoch)
-        self._engines: dict[str, object] = {}
+        self._solver: CSRWienerSteinerEngine | None = None
         self._max_cached_roots = max_cached_roots
         self._candidates = LRUCache(max_cached_candidates)
         self._scores = LRUCache(max_cached_scores)
@@ -268,7 +257,6 @@ class ConnectorService:
         self._entries_retained = 0
         self._pairs_pruned = 0
         self._pairs_scored = 0
-        self._index_digest: str | None = None
         self._created = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -278,12 +266,7 @@ class ConnectorService:
     def num_nodes(self) -> int:
         if self.graph is not None:
             return self.graph.num_nodes
-        return self._csr.num_nodes
-
-    def _has_node(self, node) -> bool:
-        if self.graph is not None:
-            return self.graph.has_node(node)
-        return node in self._csr.index_of
+        return self._versioned.csr.num_nodes
 
     def _validate(self, query_set: frozenset) -> None:
         if self.graph is not None:
@@ -291,7 +274,7 @@ class ConnectorService:
             return
         if not query_set:
             raise InvalidQueryError("query set must be non-empty")
-        missing = [q for q in query_set if q not in self._csr.index_of]
+        missing = [q for q in query_set if q not in self._versioned.csr.index_of]
         if missing:
             raise InvalidQueryError(
                 f"query vertices not in graph: {sorted(map(repr, missing))}"
@@ -313,43 +296,17 @@ class ConnectorService:
         graph is loaded: router or shard host, dict or CSR index, any
         ``PYTHONHASHSEED``, today's process or a restarted one.
         """
-        if self._index_digest is None:
-            self._index_digest = index_digest_of(self.graph, self._csr)
-        return self._index_digest
+        return self._versioned.index_digest()
 
-    def _backend_name(self, options: SolveOptions) -> str:
-        if self.graph is not None:
-            return _resolve_backend(options.backend, self.graph)
-        # CSR-only services (parallel workers) have no dict fallback.
-        if options.backend == "dict":
-            raise GraphError("backend='dict' needs the original graph")
-        if options.backend == "csr" or HAS_NUMPY:
-            return "csr"
-        raise GraphError("a CSR-only service requires numpy")
-
-    def _engine(self, backend_name: str):
-        engine = self._engines.get(backend_name)
-        if engine is None:
-            if backend_name == "csr":
-                from repro.core.fastpath import CSRWienerSteinerEngine
-
-                if self._csr is None:
-                    # Built through the version index so the epoch counter
-                    # and the arrays can never describe different graphs.
-                    self._csr = self._versioned.csr
-                engine = CSRWienerSteinerEngine(
-                    self.graph,
-                    csr=self._csr,
-                    max_cached_roots=self._max_cached_roots,
-                )
-            else:
-                engine = _make_engine(
-                    backend_name, self.graph, self._max_cached_roots
-                )
-            # Keyed by backend name, so the ceiling is the number of
-            # engine backends (three) — bounded by the key domain.
-            self._engines[backend_name] = engine  # repro-lint: disable=RPR004
-        return engine
+    def _engine(self) -> CSRWienerSteinerEngine:
+        """The service's one solver engine, built on the first sweep."""
+        if self._solver is None:
+            # The arrays come from the version index, so the epoch counter
+            # and the engine can never describe different graphs.
+            self._solver = CSRWienerSteinerEngine(
+                csr=self._versioned.csr, max_cached_roots=self._max_cached_roots
+            )
+        return self._solver
 
     def _merge(self, options: SolveOptions | None) -> SolveOptions:
         if options is None:
@@ -390,25 +347,22 @@ class ConnectorService:
           roots' candidate sets are never materialized);
         * **λ work sharing**: each root's candidates are built for the
           whole grid in one engine batch at the root's first unpruned
-          encounter (one vectorized reweighting pass on the CSR backend,
-          one shared arc list on the dict backend), honoring the
+          encounter (one vectorized reweighting pass), honoring the
           candidate LRU per ``(root, λ)`` entry.
         """
         started = time.perf_counter()
         self._validate(query_set)
-        backend_name = self._backend_name(options)
 
         if len(query_set) == 1:
             only = next(iter(query_set))
             return SweepOutcome(
                 nodes=frozenset([only]), root=only, lam=None, candidates=1,
-                key=0.0, backend=backend_name,
-                runtime_seconds=time.perf_counter() - started,
+                key=0.0, runtime_seconds=time.perf_counter() - started,
             )
 
         root_list = _root_list(options, query_set)
 
-        engine = self._engine(backend_name)
+        engine = self._engine()
 
         # Line 1: one BFS per candidate root (cached by the engine, shared
         # across every query that mentions the root).
@@ -459,8 +413,7 @@ class ConnectorService:
                 per_lam = batches.get(root)
                 if per_lam is None:
                     per_lam = self._candidates_for_root(
-                        engine, backend_name, root, grid, query_set,
-                        options.adjust,
+                        engine, root, grid, query_set, options.adjust
                     )
                     batches[root] = per_lam
                 candidate = per_lam[lam_i]
@@ -498,13 +451,11 @@ class ConnectorService:
             lam=best_lambda,
             candidates=len(scored),
             key=best_key,
-            backend=backend_name,
             runtime_seconds=time.perf_counter() - started,
         )
 
     def _candidates_for_root(
-        self, engine, backend_name: str, root, grid: list, query_set,
-        adjust: bool,
+        self, engine, root, grid: list, query_set, adjust: bool
     ) -> list:
         """All of one root's grid candidates, batch-built through the LRU.
 
@@ -517,9 +468,7 @@ class ConnectorService:
         per_lam: list = [None] * len(grid)
         missing: list[int] = []
         for i, lam in enumerate(grid):
-            cached = self._candidates.get(
-                (backend_name, root, lam, query_set, adjust)
-            )
+            cached = self._candidates.get((root, lam, query_set, adjust))
             if cached is not None:
                 per_lam[i] = cached
             else:
@@ -530,9 +479,7 @@ class ConnectorService:
             )
             for i, candidate in zip(missing, built):
                 per_lam[i] = candidate
-                self._candidates.put(
-                    (backend_name, root, grid[i], query_set, adjust), candidate
-                )
+                self._candidates.put((root, grid[i], query_set, adjust), candidate)
         return per_lam
 
     def _score_bound(
@@ -564,8 +511,7 @@ class ConnectorService:
         Exact and sampled scores depend only on the candidate set (the
         sampled estimator is deterministically seeded), so they are cached
         across roots, λ values, *and* queries; the proxy ``A(H, r)`` is
-        root-dependent and cheap, so it is computed directly.  Both
-        backends return bit-equal scores, hence one shared cache.
+        root-dependent and cheap, so it is computed directly.
         """
         selection = options.selection
         use_exact = selection == "wiener" or (
@@ -749,7 +695,6 @@ class ConnectorService:
                 "parallel": True,
                 "workers": workers,
                 "candidates": total_candidates,
-                "backend": best.backend,
             },
         )
 
@@ -764,17 +709,20 @@ class ConnectorService:
     ) -> dict:
         """The picklable seed of a worker-side replica of this service.
 
-        For the CSR backend that is the two int arrays plus the label
-        list — orders of magnitude less pickling than the dict-of-sets
-        ``Graph`` the old ``core.parallel`` shipped.  The dict backend
-        (no numpy, or forced) still ships the graph.  ``cache_limits``
+        That is the two CSR int arrays plus the label list — orders of
+        magnitude less pickling than the dict-of-sets ``Graph`` the old
+        ``core.parallel`` shipped.  ``cache_limits``
         forwards ``max_cached_*`` constructor bounds to the replica, so a
         sharded deployment can pin every shard's memory footprint.
 
         Feed the payload to :func:`service_from_payload` in the worker.
         """
         opts = self._merge(options)
-        payload: dict = {
+        csr = self._engine().csr
+        return {
+            "indptr": csr.indptr,
+            "indices": csr.indices,
+            "node_of": csr.node_of,
             "options": opts,
             "limits": dict(cache_limits) if cache_limits else {},
             # The graph version the payload captures: a replica built from
@@ -782,18 +730,6 @@ class ConnectorService:
             # the right version in the mutate/handshake protocol.
             "epoch": self.epoch,
         }
-        if self._backend_name(opts) == "csr":
-            self._engine("csr")  # ensures self._csr exists
-            csr = self._csr
-            payload.update(
-                kind="csr",
-                indptr=csr.indptr,
-                indices=csr.indices,
-                node_of=csr.node_of,
-            )
-        else:
-            payload.update(kind="graph", graph=self.graph)
-        return payload
 
     def _solve_many_parallel(
         self,
@@ -863,7 +799,6 @@ class ConnectorService:
             "root": solved.root,
             "lambda": solved.lam,
             "candidates": solved.candidates,
-            "backend": solved.backend,
             "runtime_seconds": solved.runtime_seconds,
         }
         if extra:
@@ -888,8 +823,7 @@ class ConnectorService:
         graph.  Connectors are small (tens of vertices), so this stays
         cheap even on a 10^6-node instance.
         """
-        self._engine("csr")  # ensures self._csr exists
-        csr = self._csr
+        csr = self._engine().csr
         return csr.induced(csr.indices_for(nodes)).to_graph()
 
     # ------------------------------------------------------------------
@@ -930,9 +864,9 @@ class ConnectorService:
         reachability-invariance pass over the delta decides, per cached
         entry, whether the touched edges can reach the entry's answer.
 
-        * **root-BFS entries** (per engine) survive when every delta edge
-          provably preserves that root's distances and canonical parents
-          — see the engines' ``apply_delta`` for the exact rules;
+        * **root-BFS entries** survive when every delta edge provably
+          preserves that root's distances and canonical parents — see
+          :meth:`CSRWienerSteinerEngine.apply_delta` for the exact rules;
         * **score entries** survive unless a delta edge has *both*
           endpoints inside the scored candidate set (exact and sampled
           scores are pure functions of the induced subgraph ``G[S]``,
@@ -962,16 +896,11 @@ class ConnectorService:
             delta._check_applicable(self.graph.has_edge)
         else:
             delta._check_applicable(
-                lambda u, v: csr_has_edge(self._csr, u, v)
+                lambda u, v: csr_has_edge(self._versioned.csr, u, v)
             )
-        nodes_changed = any(
-            not self._has_node(node) for node in delta.touched_nodes()
-        )
         touched = delta.touched_edges()
 
         epoch = self._versioned.apply(delta)
-        self._csr = self._versioned.csr if self._versioned.csr_built else None
-        self._index_digest = None
         # The landmark index is a whole-graph structure; when the service
         # owns one, rebuild it *now* rather than lazily — shard replicas
         # apply deltas off the query path, so an eager rebuild keeps the
@@ -981,15 +910,10 @@ class ConnectorService:
             self._build_landmark_index()
 
         retained = invalidated = 0
-        for name, engine in self._engines.items():
-            if name == "csr":
-                kept, gone = engine.apply_delta(delta, self._versioned.csr)
-            else:
-                kept, gone = engine.apply_delta(
-                    delta, nodes_changed=nodes_changed
-                )
-            retained += kept
-            invalidated += gone
+        if self._solver is not None:
+            retained, invalidated = self._solver.apply_delta(
+                delta, self._versioned.csr
+            )
         for key in self._scores.keys():
             nodes = key[1]
             if any(u in nodes and v in nodes for u, v in touched):
@@ -1008,9 +932,7 @@ class ConnectorService:
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:
         """A snapshot of the cache layers (serving observability)."""
-        cached_roots = 0
-        for engine in self._engines.values():
-            cached_roots += getattr(engine, "cached_roots", 0)
+        cached_roots = self._solver.cached_roots if self._solver is not None else 0
         return ServiceStats(
             queries_served=self._queries_served,
             result_hits=self._results.hits,
@@ -1051,27 +973,11 @@ class ConnectorService:
         """(Re)build the shared landmark index and count the rebuild."""
         from repro.graphs.landmarks import LandmarkIndex
 
-        if self.graph is None:
-            # Bare-CSR replicas (shard workers) still get landmark tables
-            # — the index runs entirely on the shared int arrays.
-            if self._csr is None:
-                self._csr = self._versioned.csr
-            self._landmark_index = LandmarkIndex(
-                None, num_landmarks=self._landmark_count, csr=self._csr
-            )
-        else:
-            if (
-                self._csr is None
-                and HAS_NUMPY
-                and self.graph.num_nodes >= LandmarkIndex.CSR_THRESHOLD
-            ):
-                # Build the service's shared arrays now rather than letting
-                # the index create a private duplicate; the first CSR solve
-                # adopts the same object.
-                self._csr = self._versioned.csr
-            self._landmark_index = LandmarkIndex(
-                self.graph, num_landmarks=self._landmark_count, csr=self._csr
-            )
+        # The tables run on the service's shared arrays (a bare-CSR shard
+        # replica has no other graph form); the engine adopts the same ones.
+        self._landmark_index = LandmarkIndex(
+            self.graph, num_landmarks=self._landmark_count, csr=self._versioned.csr
+        )
         self._landmark_rebuilds += 1
 
     def estimate_distance(self, u: Node, v: Node) -> float:
@@ -1104,13 +1010,9 @@ class ConnectorService:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        shape = (
-            f"|V|={self.num_nodes}" if self.graph is not None or self._csr
-            else "?"
-        )
         return (
-            f"{type(self).__name__}({shape}, served={self._queries_served}, "
-            f"backends={sorted(self._engines)})"
+            f"{type(self).__name__}(|V|={self.num_nodes}, "
+            f"served={self._queries_served})"
         )
 
 
@@ -1141,8 +1043,8 @@ def _sweep_root_bounds(
     reachability check has already forced, restricted to the query
     vertices — O(|roots| · |Q|) dictionary lookups, no new traversals.
     Every quantity is an integer derived deterministically from
-    ``(graph, query, options)``, so all serving paths (both backends,
-    warm or cold caches, any shard replica) compute identical bounds and
+    ``(graph, query, options)``, so all serving paths (warm or cold
+    caches, any shard replica) compute identical bounds and
     hence make identical pruning decisions.
     """
     query = sorted(query_set, key=repr)
@@ -1207,21 +1109,16 @@ def service_from_payload(payload: dict) -> ConnectorService:
     """Rebuild a worker-side :class:`ConnectorService` from a payload.
 
     The inverse of :meth:`ConnectorService.worker_payload` — this is the
-    whole picklable worker API: a ``"csr"`` payload yields a graph-less
-    service sharing the router's int arrays (it can :meth:`~ConnectorService.sweep`
-    but not build results), a ``"graph"`` payload yields a full replica.
-    Used by both the per-batch pools above and the persistent shard
+    whole picklable worker API: a graph-less service sharing the router's
+    int arrays (it can :meth:`~ConnectorService.sweep` but not build
+    results).  Used by both the per-batch pools above and the persistent shard
     processes of :mod:`repro.core.sharded`.
     """
     limits = payload.get("limits") or {}
     epoch = payload.get("epoch", 0)
-    if payload["kind"] == "csr":
-        csr = CSRGraph(payload["indptr"], payload["indices"], payload["node_of"])
-        return ConnectorService(
-            csr=csr, options=payload["options"], epoch=epoch, **limits
-        )
+    csr = CSRGraph(payload["indptr"], payload["indices"], payload["node_of"])
     return ConnectorService(
-        payload["graph"], options=payload["options"], epoch=epoch, **limits
+        csr=csr, options=payload["options"], epoch=epoch, **limits
     )
 
 

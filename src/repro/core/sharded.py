@@ -602,8 +602,8 @@ class ShardedStats:
     """Router counters plus one :class:`ServiceStats` snapshot per live shard.
 
     ``router_local`` is the router-side fallback service that answers
-    what shard replicas cannot (non-``ws-q`` methods, per-call
-    ``backend="dict"`` overrides on CSR-seeded shards); its cache traffic
+    what shard replicas cannot (non-``ws-q`` methods, which need the
+    host graph); its cache traffic
     counts toward the aggregate hit numbers below so a baseline-method
     workload does not read as "never warm" just because it is sharded.
 
@@ -928,11 +928,6 @@ class ShardedConnectorService:
             for shard_id in sorted(self._specs)
         )
 
-    @property
-    def payload_kind(self) -> str:
-        """``"csr"`` (bare int arrays) or ``"graph"`` (no-numpy fallback)."""
-        return self._payload["kind"]
-
     def resize(self, shards: int | Sequence[str]) -> None:
         """Grow, shrink, or roll the shard topology and rebuild the ring.
 
@@ -1211,19 +1206,15 @@ class ShardedConnectorService:
 
         Distinct keys are scattered to their home shards and solved
         concurrently; identical in-flight keys are sent once and every
-        duplicate position receives the same result object.  Requests the
-        shard replicas cannot serve — non-``ws-q`` methods and, on
-        CSR-seeded shards, a per-call ``backend="dict"`` override, both of
-        which need the host graph — fall back to the router's local
-        service with the same answers.
+        duplicate position receives the same result object.  Non-``ws-q``
+        methods need the host graph, which the CSR-seeded shard replicas
+        do not have, so the router's local service answers them.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
         opts = self._local._merge(options)
         query_sets = [frozenset(query) for query in queries]
-        if opts.method != "ws-q" or (
-            opts.backend == "dict" and self._payload["kind"] == "csr"
-        ):
+        if opts.method != "ws-q":
             return [self._local.solve(query_set, opts) for query_set in query_sets]
         for query_set in query_sets:
             self._local._validate(query_set)

@@ -17,19 +17,19 @@ in three steps:
 The result is a tree spanning the terminals with total weight at most twice
 the optimum.
 
-Backend architecture
---------------------
+Two implementations
+-------------------
 
 All tie-breaking (which source claims a node, which crossing edge
 represents a terminal pair, Kruskal and MST orderings) is canonicalized by
 the node's integer position in :func:`repro.graphs.csr.order_map` — the
-same ``0..n-1`` relabeling the CSR array backend uses.  Phase 1 has two
+same ``0..n-1`` relabeling the CSR arrays use.  Phase 1 has two
 interchangeable implementations: the dict-based
-:func:`voronoi_dijkstra_canonical` below and an array-heap twin in
+:func:`voronoi_dijkstra_canonical` below and the scipy-Dijkstra twin in
 :mod:`repro.core.fastpath` (``mehlhorn_steiner_csr``) consuming
 ``(indptr, indices, weights)`` directly.  Both hand their Voronoi output
-to the shared :func:`steiner_tree_from_voronoi`, so the two backends
-produce *identical* trees, not merely equally good ones.
+to the shared :func:`steiner_tree_from_voronoi`, so the two produce
+*identical* trees, not merely equally good ones.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ the tower down.  Two pieces:
   three graph representations — the dict :class:`~repro.graphs.graph.Graph`,
   the :class:`~repro.graphs.graph.WeightedGraph`, and the packed
   :class:`~repro.graphs.csr.CSRGraph` arrays — and produces the *same*
-  canonical node order on each, which is what keeps ``backend="dict"``
-  and ``backend="csr"`` bit-identical across mutations.
+  canonical node order on each, which is what keeps the engine and the
+  dict reference oracle bit-identical across mutations.
 * :class:`VersionedIndex` — an epoch counter over a mutating graph.
   Epoch 0 is the construction-time graph; every ``apply(delta)`` bumps
   the epoch, rebuilds the CSR arrays *from the current arrays* (not from
@@ -262,7 +262,7 @@ class GraphDelta:
 
         New endpoints are created in canonical op order — the same
         insertion order :meth:`apply_to_csr` appends them in, so the two
-        backends keep one node numbering after any delta sequence.
+        representations keep one node numbering after any delta sequence.
         """
         if self.reweights:
             raise DeltaError(

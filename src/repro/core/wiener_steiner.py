@@ -15,64 +15,44 @@ A constant-factor approximation for Min Wiener Connector running in
 5. keep the candidate minimizing ``A(H, r)`` — or, following Remark 1, the
    exact Wiener index when the candidate is small enough to afford it.
 
-Backend architecture
---------------------
+Engine
+------
 
-The λ×root sweep (grid, root list, dedup, scoring policy, selection) is
-backend-independent; only the per-``(r, λ)`` candidate construction and
-the scoring kernels are dispatched:
-
-* ``backend="dict"`` — the pure-Python reference path: hashable-node
-  ``WeightedGraph`` rebuilt per instance, dict/deque BFS, heap Dijkstra.
-  Always available; the debugging escape hatch.
-* ``backend="csr"`` — :class:`repro.core.fastpath.CSRWienerSteinerEngine`:
-  the graph is relabeled once to ``0..n-1`` int arrays, BFS caches /
-  reweighting / Steiner solving / scoring all run on numpy arrays.
-  Requires numpy.
-* ``backend="auto"`` (default) — ``"csr"`` when numpy is available and the
-  graph has at least :data:`CSR_AUTO_THRESHOLD` nodes, else ``"dict"``.
-
-Both backends break every tie by the canonical relabeled index (see
-:func:`repro.graphs.csr.order_map`), so they return **identical**
-connectors — the property-test suite asserts this on random corpora.
+The per-``(r, λ)`` candidate construction and the scoring kernels run on
+one engine, :class:`repro.core.fastpath.CSRWienerSteinerEngine`: the
+graph is relabeled once to ``0..n-1`` int arrays, and BFS caches,
+reweighting, Steiner solving and scoring all run on numpy/scipy arrays.
+Every tie is broken by the canonical relabeled index (see
+:func:`repro.graphs.csr.order_map`).  The pure-Python dict engine of the
+seed implementation survives only as a test oracle,
+:func:`repro.core.reference.reference_wiener_steiner`, which the property
+tests compare against bit for bit.
 
 Serving architecture
 --------------------
 
-Since the ConnectorService redesign this module is the *reference layer*:
-it owns the engine primitives (the dict engine, the λ grid, the scoring
-policy) while the λ×root sweep itself lives in
-:class:`repro.core.service.ConnectorService`, which keeps engines, root
-BFS data, candidates, scores and results cached across queries.
-:func:`wiener_steiner` remains the stable one-shot entry point — it now
-builds a throwaway service per call, so its behavior (and its connectors,
-bit for bit) are unchanged while multi-query callers migrate to
-``ConnectorService.solve_many``.
+This module owns the sweep primitives (query validation, the λ grid, the
+scoring policy) while the λ×root sweep itself lives in
+:class:`repro.core.service.ConnectorService`, which keeps the engine,
+root BFS data, candidates, scores and results cached across queries.
+:func:`wiener_steiner` remains the stable one-shot entry point — it
+builds a throwaway service per call, so multi-query callers can migrate
+to ``ConnectorService.solve_many`` and get the same connectors.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
-from repro.core.adjust import adjust_distances
-from repro.core.lru import LRUCache
-from repro.core.steiner import mehlhorn_steiner_tree
-from repro.errors import GraphError, InvalidQueryError
-from repro.graphs.csr import HAS_NUMPY, order_map
-from repro.graphs.graph import Graph, Node, WeightedGraph
-from repro.graphs.traversal import bfs_distances, bfs_tree_canonical
-from repro.graphs.wiener import rooted_distance_sum, wiener_index
+from repro.core.result import ConnectorResult
+from repro.errors import InvalidQueryError
+from repro.graphs.graph import Graph, Node
 
 #: Candidates at most this large are scored with the exact Wiener index
 #: when ``selection="auto"`` (Remark 1: exact scoring is affordable because
 #: solutions are typically small).
 EXACT_SCORING_THRESHOLD = 600
-
-#: ``backend="auto"`` switches to the CSR array backend at this many nodes;
-#: below it the relabeling overhead eats the vectorization gain.
-CSR_AUTO_THRESHOLD = 64
 
 
 def wiener_steiner(
@@ -83,7 +63,6 @@ def wiener_steiner(
     selection: str = "auto",
     adjust: bool = True,
     lambda_values: Iterable[float] | None = None,
-    backend: str = "auto",
 ) -> ConnectorResult:
     """Return an approximate minimum Wiener connector for ``query``.
 
@@ -91,6 +70,8 @@ def wiener_steiner(
     ----------
     graph:
         The host graph ``G`` — connected, simple, undirected, unweighted.
+        A stream-constructed :class:`~repro.graphs.csr.CSRGraph` is
+        accepted too.
     query:
         The query set ``Q`` (at least one vertex, all in ``G``).
     beta:
@@ -110,17 +91,15 @@ def wiener_steiner(
         Apply the Lemma-2 ``AdjustDistances`` rebalancing (default).  The
         approximation guarantee needs it; turning it off is an ablation.
     lambda_values:
-        Explicit λ grid overriding the geometric sweep.
-    backend:
-        ``"auto"`` (default), ``"csr"``, or ``"dict"`` — see the module
-        docstring.  Both backends return identical connectors.
+        Explicit λ grid overriding the geometric sweep; every λ must be
+        positive and finite.
 
     Returns
     -------
     ConnectorResult
         With ``metadata`` keys ``root``, ``lambda``, ``candidates``
-        (number of distinct candidate vertex sets scored), ``backend``
-        and ``runtime_seconds``.
+        (number of distinct candidate vertex sets scored) and
+        ``runtime_seconds``.
 
     Raises
     ------
@@ -128,21 +107,19 @@ def wiener_steiner(
         If ``query`` is empty or mentions vertices outside the graph.
     DisconnectedGraphError
         If the query vertices do not lie in one connected component.
-    GraphError
-        If ``backend="csr"`` is forced while numpy is unavailable.
+    ValueError
+        If a tunable is out of range (see :class:`SolveOptions`).
     """
     from repro.core.options import SolveOptions
     from repro.core.service import ConnectorService
+    from repro.graphs.csr import CSRGraph
 
-    if selection not in ("a", "wiener", "auto", "sampled"):
-        raise ValueError(f"unknown selection policy {selection!r}")
     options = SolveOptions(
         beta=beta,
         roots=tuple(roots) if roots is not None else None,
         selection=selection,
         adjust=adjust,
         lambda_values=tuple(lambda_values) if lambda_values is not None else None,
-        backend=backend,
         exact_threshold=EXACT_SCORING_THRESHOLD,
     )
     # A throwaway service sweeps once and dies: an unbounded root cache is
@@ -150,8 +127,6 @@ def wiener_steiner(
     # default LRU bound would thrash on sweeps with many hundreds of roots.
     # A stream-constructed CSRGraph is accepted directly — the CSR-only
     # service path, so 10^6+-node instances never need the dict form.
-    from repro.graphs.csr import CSRGraph
-
     if isinstance(graph, CSRGraph):
         return ConnectorService(
             None, options, csr=graph, max_cached_roots=None
@@ -161,252 +136,6 @@ def wiener_steiner(
 
 #: Public alias matching the paper's problem name.
 minimum_wiener_connector = wiener_steiner
-
-
-def _resolve_backend(backend: str, graph: Graph) -> str:
-    if backend == "auto":
-        if HAS_NUMPY and graph.num_nodes >= CSR_AUTO_THRESHOLD:
-            return "csr"
-        return "dict"
-    if backend == "csr":
-        if not HAS_NUMPY:
-            raise GraphError(
-                "backend='csr' requires numpy; use backend='dict' instead"
-            )
-        return "csr"
-    if backend == "dict":
-        return "dict"
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def _make_engine(
-    backend_name: str, graph: Graph, max_cached_roots: int | None = None
-):
-    if backend_name == "csr":
-        from repro.core.fastpath import CSRWienerSteinerEngine
-
-        return CSRWienerSteinerEngine(graph, max_cached_roots=max_cached_roots)
-    return _DictEngine(graph, max_cached_roots=max_cached_roots)
-
-
-class _DictEngine:
-    """The pure-Python reference engine (hashable nodes, dict adjacency).
-
-    Structurally this is the seed implementation — a fresh reweighted
-    ``WeightedGraph`` per ``(root, λ)`` instance — with tie-breaks
-    canonicalized through the node order map so its output matches the CSR
-    engine's exactly.  Like the CSR engine, the per-root BFS cache is
-    optionally LRU-bounded so a long-lived service cannot grow without
-    bound.
-    """
-
-    def __init__(
-        self, graph: Graph, max_cached_roots: int | None = None
-    ) -> None:
-        self.graph = graph
-        self._order = order_map(graph)
-        self._root_cache = LRUCache(max_cached_roots)
-
-    def _root_data(self, root: Node) -> tuple[dict, dict]:
-        cached = self._root_cache.get(root)
-        if cached is None:
-            cached = bfs_tree_canonical(self.graph, root, self._order)
-            self._root_cache.put(root, cached)
-        return cached
-
-    @property
-    def cached_roots(self) -> int:
-        """How many root BFS entries are currently cached."""
-        return len(self._root_cache)
-
-    def unreachable_queries(self, root: Node, query_set) -> list[Node]:
-        distances = self._root_data(root)[0]
-        return [q for q in query_set if q not in distances]
-
-    def candidate(
-        self, root: Node, lam: float, query_set, adjust: bool
-    ) -> frozenset[Node]:
-        """Lines 7–11 of Algorithm 1 for one ``(r, λ)`` pair."""
-        return self.candidates_for_root(root, [lam], query_set, adjust)[0]
-
-    def candidates_for_root(
-        self, root: Node, lams, query_set, adjust: bool
-    ) -> list[frozenset[Node]]:
-        """Lines 7–11 for one root across a λ batch, sharing the root data.
-
-        The λ grid only changes the *reweighting* of ``G_{r,λ}``: the
-        per-arc ``max(d_r(u), d_r(v))`` values, the node iteration order,
-        and the unreachable-endpoint skip rule are identical for every λ.
-        One pass extracts that shared arc list; each λ then rebuilds its
-        weighted instance from it — the same edges in the same insertion
-        order with the same ``λ + max(·)/λ`` expression the single-λ
-        construction always evaluated, so each returned candidate is
-        bit-identical to an isolated :meth:`candidate` call.
-        """
-        host_distances, host_parents = self._root_data(root)
-        node_list = list(self.graph.nodes())
-        arcs: list[tuple[Node, Node, int]] = []
-        for u, v in self.graph.edges():
-            du = host_distances.get(u)
-            dv = host_distances.get(v)
-            if du is None or dv is None:
-                continue
-            arcs.append((u, v, du if du >= dv else dv))
-        terminals = set(query_set) | {root}
-        candidates: list[frozenset[Node]] = []
-        for lam in lams:
-            reweighted = WeightedGraph()
-            for node in node_list:
-                reweighted.add_node(node)
-            for u, v, gap in arcs:
-                reweighted.add_edge(u, v, lam + gap / lam)
-            # G_{r,λ} weights are λ + max(·)/λ ≥ λ > 0 by construction.
-            tree = mehlhorn_steiner_tree(
-                reweighted, terminals, assume_positive_weights=True
-            )
-            if adjust:
-                adjusted = adjust_distances(
-                    self.graph,
-                    tree,
-                    root,
-                    bfs_distances_map=host_distances,
-                    bfs_parents_map=host_parents,
-                )
-                nodes = set(adjusted.nodes())
-            else:
-                nodes = set(tree.nodes())
-            nodes |= query_set
-            candidates.append(frozenset(nodes))
-        return candidates
-
-    # -- pruning primitives (exact integer data for the certified bounds)
-    def host_distances(self, root: Node, nodes) -> list[int]:
-        """Exact host BFS distances from ``root`` to each of ``nodes``.
-
-        Raises ``KeyError`` on an unreachable node — the sweep only asks
-        about root-reachable vertices (its reachability check ran first),
-        so silence here would mask a pruning-soundness bug.
-        """
-        distances = self._root_data(root)[0]
-        return [distances[node] for node in nodes]
-
-    def induced_edge_count(self, nodes) -> int:
-        """``|E(G[nodes])|`` by membership-filtered adjacency scans."""
-        members = set(nodes)
-        degree_sum = sum(
-            1
-            for node in members
-            for neighbor in self.graph.neighbors(node)
-            if neighbor in members
-        )
-        return degree_sum // 2
-
-    def score_exact(self, nodes) -> float:
-        return wiener_index(self.graph.subgraph(nodes))
-
-    def score_proxy(self, nodes, root: Node) -> float:
-        return len(nodes) * rooted_distance_sum(self.graph.subgraph(nodes), root)
-
-    def score_sampled(self, nodes, num_sources: int, seed: int) -> float:
-        """Remark-1 sampled Wiener estimate of ``G[nodes]``.
-
-        Sources are sampled as positions into the canonically sorted node
-        list (ascending order-map index) — the exact rule of
-        :meth:`repro.core.fastpath.CSRWienerSteinerEngine.score_sampled` —
-        so both backends score the same candidate identically.
-        """
-        ordered = sorted(nodes, key=self._order.__getitem__)
-        n = len(ordered)
-        if n < 2:
-            return 0.0
-        sub = self.graph.subgraph(nodes)
-        if num_sources >= n:
-            return wiener_index(sub)
-        positions = random.Random(seed).sample(range(n), num_sources)
-        total = 0
-        for position in positions:
-            distances = bfs_distances(sub, ordered[position])
-            if len(distances) != n:
-                return math.inf
-            total += sum(distances.values())
-        return (total / num_sources) * n / 2
-
-    def apply_delta(self, delta, *, nodes_changed: bool) -> tuple[int, int]:
-        """Scoped invalidation of the root-BFS cache after a graph delta.
-
-        Called *after* the host graph (which this engine shares by
-        reference) has been mutated; the cached ``(distances, parents)``
-        entries still describe the pre-delta epoch and are the analysis
-        input.  Returns ``(retained, evicted)``.
-
-        A root entry survives only when the delta **provably** preserves
-        its BFS tree:
-
-        * insert ``(u, v)`` with both endpoints unreachable from the root
-          — the edge joins components the root never sees;
-        * insert with equal distances — a same-level edge lies on no
-          shortest path and previous-level neighbor sets are untouched;
-        * insert with distances differing by exactly 1 — distances are
-          preserved (a shortcut needs a gap ≥ 2), and the single possible
-          parent change (the deeper endpoint gaining a lower-order
-          previous-level neighbor) is fixed up in place;
-        * delete with both endpoints unreachable, or with a distance gap
-          ≠ 1 — shortest paths only use gap-1 edges, so no current
-          shortest path (and no canonical parent edge) is lost.
-
-        Everything else — inserts bridging a gap ≥ 2 or reaching into an
-        unreachable component, deletes of gap-1 edges — may move
-        distances or parents, so the entry is evicted.  When the delta
-        changed the node set (``nodes_changed``) every entry is evicted:
-        a cached BFS that never saw a node cannot answer for it, and the
-        canonical order map must be rebuilt.
-        """
-        if nodes_changed:
-            evicted = self._root_cache.clear()
-            self._order = order_map(self.graph)
-            return 0, evicted
-        order = self._order
-        retained = evicted = 0
-        for root in self._root_cache.keys():
-            distances, parents = self._root_cache.peek(root)
-            safe = True
-            fixups: list[tuple[Node, Node]] = []
-            for u, v in delta.inserts:
-                du = distances.get(u)
-                dv = distances.get(v)
-                if du is None and dv is None:
-                    continue
-                if du is None or dv is None:
-                    safe = False
-                    break
-                gap = du - dv
-                if gap == 0:
-                    continue
-                if abs(gap) == 1:
-                    deep, shallow = (u, v) if gap > 0 else (v, u)
-                    fixups.append((deep, shallow))
-                    continue
-                safe = False
-                break
-            if safe:
-                for u, v in delta.deletes:
-                    du = distances.get(u)
-                    dv = distances.get(v)
-                    if du is None and dv is None:
-                        continue
-                    if du is None or dv is None or abs(du - dv) == 1:
-                        safe = False
-                        break
-            if not safe:
-                self._root_cache.pop(root)
-                evicted += 1
-                continue
-            for deep, shallow in fixups:
-                current = parents.get(deep)
-                if current is not None and order[shallow] < order[current]:
-                    parents[deep] = shallow
-            retained += 1
-        return retained, evicted
 
 
 def _validate_query(graph: Graph, query_set: frozenset[Node]) -> None:
@@ -434,28 +163,6 @@ def _lambda_grid(num_nodes: int, beta: float) -> list[float]:
     return grid
 
 
-def _reweighted_graph(
-    graph: Graph, host_distances: Mapping[Node, int], lam: float
-) -> WeightedGraph:
-    """Build ``G_{r,λ}`` with ``w(u,v) = λ + max(d_G(r,u), d_G(r,v)) / λ``.
-
-    Lemma 4 shows Steiner trees of this weighted graph approximate the
-    node-weighted objective ``B(·, r, λ)`` within a factor 2.  Edges inside
-    components unreachable from the root are omitted — they can never be
-    useful for this root (the CSR backend marks them ``+inf`` instead).
-    """
-    reweighted = WeightedGraph()
-    for node in graph.nodes():
-        reweighted.add_node(node)
-    for u, v in graph.edges():
-        du = host_distances.get(u)
-        dv = host_distances.get(v)
-        if du is None or dv is None:
-            continue
-        reweighted.add_edge(u, v, lam + max(du, dv) / lam)
-    return reweighted
-
-
 def _score(
     engine,
     nodes: frozenset[Node],
@@ -472,7 +179,8 @@ def _score(
     and by the proxy beyond; ``"sampled"`` replaces that proxy tail with
     the Remark-1 sampled Wiener estimator (``sample_sources`` BFS sources,
     deterministically seeded).  Exact and sampled sums are integers, so
-    both engines return bit-equal scores for the same candidate set.
+    the engine and the reference oracle return bit-equal scores for the
+    same candidate set.
     """
     if selection not in ("a", "wiener", "auto", "sampled"):
         raise ValueError(f"unknown selection policy {selection!r}")

@@ -3,11 +3,10 @@
 This package is the foundation the paper's algorithms are built on.  The
 dict/set :class:`Graph` API is pure Python — the library never depends on
 networkx (which is used only as a test oracle).  :mod:`repro.graphs.csr`
-adds an optional numpy-backed CSR array layer (:class:`CSRGraph`): nodes
+adds the numpy-backed CSR array layer (:class:`CSRGraph`): nodes
 relabeled once to ``0..n-1`` in insertion order (the *canonical order*
 used for every tie-break in the library), traversals vectorized over whole
-BFS frontiers.  ``HAS_NUMPY`` gates it; every caller falls back to the
-dict implementations when numpy is absent.
+BFS frontiers.
 """
 
 from repro.graphs.centrality import (
@@ -27,7 +26,7 @@ from repro.graphs.components import (
     require_connected,
 )
 from repro.graphs.cores import core_numbers, k_core_nodes, max_core_component_with
-from repro.graphs.csr import CSRGraph, HAS_NUMPY, order_map
+from repro.graphs.csr import CSRGraph, order_map
 from repro.graphs.graph import Graph, WeightedGraph, Node, Edge
 from repro.graphs.landmarks import LandmarkIndex
 from repro.graphs.metrics import (
@@ -68,7 +67,6 @@ __all__ = [
     "Node",
     "Edge",
     "CSRGraph",
-    "HAS_NUMPY",
     "order_map",
     "bfs_tree_canonical",
     "parents_from_dijkstra",

@@ -1,4 +1,4 @@
-"""CSR (compressed sparse row) array backend for the graph substrate.
+"""CSR (compressed sparse row) array layer for the graph substrate.
 
 The hashable-node :class:`~repro.graphs.graph.Graph` is the library's
 public data model, but its dict/set adjacency makes every traversal pay
@@ -9,14 +9,14 @@ every tie-break in the library refers to), adjacency becomes two flat
 integer arrays (``indptr``/``indices``), and the traversal inner loops
 become vectorized numpy expressions over whole BFS frontiers.
 
-Where the CSR backend kicks in
-------------------------------
+Where the CSR layer is used
+---------------------------
 
 * :func:`repro.graphs.wiener.wiener_index` converts to CSR above a size
   threshold — the one-off ``O(|E|)`` relabeling is amortized over ``|V|``
   BFS traversals;
-* ``wiener_steiner(backend="csr")`` (see :mod:`repro.core.fastpath`)
-  keeps one :class:`CSRGraph` for the whole λ×root sweep: BFS caches,
+* the solver engine (:mod:`repro.core.fastpath`) keeps one
+  :class:`CSRGraph` per service for every λ×root sweep: BFS caches,
   per-arc reweighting, Steiner solving and candidate scoring all reuse
   the same arrays;
 * candidate scoring uses :meth:`CSRGraph.induced` index masks instead of
@@ -27,55 +27,30 @@ Canonical tie-breaking
 
 All kernels here resolve ties by the smallest integer index (e.g. a BFS
 parent is the *lowest-index* neighbor on the previous level).  The dict
-backend applies the same rule via its node→index order map, which is what
-makes ``backend="csr"`` and ``backend="dict"`` return bit-identical
-results rather than merely equivalent ones.
+traversals apply the same rule via the node→index :func:`order_map`,
+which is what makes the engine and the dict reference oracle
+(:mod:`repro.core.reference`) return bit-identical results rather than
+merely equivalent ones.
 
-numpy is a soft dependency: importing this module without numpy leaves
-``HAS_NUMPY`` false and :class:`CSRGraph` unusable; callers are expected
-to gate on :data:`HAS_NUMPY` and fall back to the dict implementations.
-scipy, when present, is used only where results are tie-free (all-pairs
-distance matrices for Wiener scoring) so it can never change an answer.
+numpy and scipy are required dependencies.  scipy is used only where
+results are tie-free (all-pairs distance matrices for Wiener scoring,
+distance-only Dijkstra in the engine), so it can never change an answer.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+from scipy.sparse import csr_matrix as _scipy_csr_matrix
+from scipy.sparse.csgraph import shortest_path as _scipy_shortest_path
+
 from repro.errors import GraphError, NodeNotFoundError
 from repro.graphs.graph import Graph, Node, WeightedGraph
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    np = None  # type: ignore[assignment]
-
-HAS_NUMPY = np is not None
-
-try:  # pragma: no cover - scipy is optional icing over the numpy kernels
-    from scipy.sparse import csr_matrix as scipy_csr_matrix
-    from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
-    from scipy.sparse.csgraph import shortest_path as _scipy_shortest_path
-except ImportError:  # pragma: no cover
-    scipy_csr_matrix = None
-    scipy_dijkstra = None
-    _scipy_shortest_path = None
-
-HAS_SCIPY = scipy_csr_matrix is not None
-
-# Backwards-compatible private alias used inside this module.
-_scipy_csr_matrix = scipy_csr_matrix
 
 #: Above this many nodes an all-pairs matrix would not fit comfortably in
 #: memory, so Wiener computation falls back to one-source-at-a-time BFS.
 _SCIPY_ALL_PAIRS_MAX_NODES = 2048
-
-
-def _require_numpy() -> None:
-    if not HAS_NUMPY:
-        raise GraphError(
-            "the CSR backend requires numpy; install it or use the dict backend"
-        )
 
 
 class CSRGraph:
@@ -99,7 +74,6 @@ class CSRGraph:
     __slots__ = ("indptr", "indices", "node_of", "index_of", "_arc_src", "_half_arcs")
 
     def __init__(self, indptr, indices, node_of=None, index_of=None) -> None:
-        _require_numpy()
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         if node_of is None:
@@ -117,7 +91,6 @@ class CSRGraph:
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
         """Relabel ``graph`` to ``0..n-1`` (insertion order) and pack to CSR."""
-        _require_numpy()
         node_of = list(graph.nodes())
         index_of = {node: i for i, node in enumerate(node_of)}
         n = len(node_of)
@@ -154,7 +127,6 @@ class CSRGraph:
         empty rows.  ``tests/test_scale_generators.py`` asserts the array
         identity on every generator family.
         """
-        _require_numpy()
         if num_nodes < 0:
             raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
         if chunk_size < 1:
@@ -224,7 +196,6 @@ class CSRGraph:
         ``weights[k]`` is the weight of the arc ``arc_src[k] -> indices[k]``
         (each undirected edge appears as two arcs with equal weight).
         """
-        _require_numpy()
         node_of = list(graph.nodes())
         index_of = {node: i for i, node in enumerate(node_of)}
         n = len(node_of)
@@ -347,7 +318,7 @@ class CSRGraph:
 
         ``parent[v]`` is the lowest-index neighbor of ``v`` on the previous
         BFS level (``-1`` for the source and unreachable nodes).  This is
-        the tie-break rule the dict backend mirrors via its order map.
+        the tie-break rule the dict traversals mirror via the order map.
         """
         n = self.num_nodes
         dist = np.full(n, -1, dtype=np.int64)
@@ -412,7 +383,7 @@ class CSRGraph:
         n = self.num_nodes
         if n < 2:
             return 0.0
-        if HAS_SCIPY and n <= _SCIPY_ALL_PAIRS_MAX_NODES:
+        if n <= _SCIPY_ALL_PAIRS_MAX_NODES:
             matrix = _scipy_csr_matrix(
                 (
                     np.ones(len(self.indices), dtype=np.int8),
@@ -481,16 +452,12 @@ class CSRGraph:
         return f"CSRGraph(|V|={self.num_nodes}, |E|={self.num_edges})"
 
 
-def csr_from_graph(graph: Graph) -> CSRGraph:
-    """Module-level alias for :meth:`CSRGraph.from_graph`."""
-    return CSRGraph.from_graph(graph)
-
 
 def order_map(graph: Graph | WeightedGraph) -> dict[Node, int]:
-    """The canonical node → index map (insertion order), without numpy.
+    """The canonical node → index map (insertion order), without arrays.
 
     This is the exact relabeling :meth:`CSRGraph.from_graph` uses; the
-    dict-backend code paths use it to apply the same integer tie-breaks
-    the CSR kernels get for free.
+    dict code paths use it to apply the same integer tie-breaks the CSR
+    kernels get for free.
     """
     return {node: i for i, node in enumerate(graph.nodes())}

@@ -41,7 +41,10 @@ import math
 import random
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.errors import GraphError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph, Node, WeightedGraph
 from repro.graphs.traversal import bfs_distances, dijkstra
 
@@ -67,7 +70,7 @@ class LandmarkIndex:
         An optional prebuilt :class:`~repro.graphs.csr.CSRGraph` of
         ``graph`` to run the landmark BFS passes on (the serving layer
         hands its shared arrays here).  When omitted, a CSR view is built
-        on the fly for large unweighted graphs and numpy; either way the
+        on the fly for large unweighted graphs; either way the
         tables hold the same distances the dict traversal would produce.
         Ignored for table building on weighted graphs (hop counts are not
         distances there); weighted tables always come from Dijkstra.
@@ -133,10 +136,7 @@ class LandmarkIndex:
             and not isinstance(graph, WeightedGraph)
             and graph.num_nodes >= self.CSR_THRESHOLD
         ):
-            from repro.graphs.csr import HAS_NUMPY, CSRGraph
-
-            if HAS_NUMPY:
-                csr = CSRGraph.from_graph(graph)
+            csr = CSRGraph.from_graph(graph)
         self._tables: dict[Node, dict[Node, float]] = {
             landmark: self._table(landmark, csr) for landmark in self.landmarks
         }
@@ -201,7 +201,7 @@ class LandmarkIndex:
     # Vectorized bounds
     # ------------------------------------------------------------------
     def _distance_matrix(self):
-        """The lazily built ``(k, n)`` float64 table matrix, or ``None``.
+        """The lazily built ``(k, n)`` float64 table matrix.
 
         Row ``i`` holds landmark ``i``'s distances over every node column
         (``inf`` where the landmark does not reach the node) — the exact
@@ -210,12 +210,6 @@ class LandmarkIndex:
         """
         if self._matrix is not None:
             return self._matrix
-        from repro.graphs.csr import HAS_NUMPY
-
-        if not HAS_NUMPY:
-            return None
-        import numpy as np
-
         if self._column_of is None:
             self._column_of = {node: i for i, node in enumerate(self._nodes)}
         matrix = np.full((len(self.landmarks), len(self._nodes)), np.inf)
@@ -230,17 +224,14 @@ class LandmarkIndex:
         """Vector form of :meth:`estimate` — one ``(k, p)`` array pass.
 
         Returns exactly what ``[self.estimate(u, v) for u, v in pairs]``
-        returns (the scalar path is the fallback when numpy is absent):
-        missing table entries contribute ``inf`` to the column minimum,
+        returns: missing table entries contribute ``inf`` to the column minimum,
         which is precisely the scalar loop's skip-and-default behavior,
         and ``u == v`` columns are pinned to ``0.0`` before the reduction.
         """
         pair_list = list(pairs)
+        if not pair_list:
+            return []
         matrix = self._distance_matrix()
-        if matrix is None or not pair_list:
-            return [self.estimate(u, v) for u, v in pair_list]
-        import numpy as np
-
         column_of = self._column_of
         us = np.fromiter(
             (column_of[u] for u, _ in pair_list), dtype=np.int64,
@@ -264,11 +255,9 @@ class LandmarkIndex:
         exactly as in the scalar loop.
         """
         pair_list = list(pairs)
+        if not pair_list:
+            return []
         matrix = self._distance_matrix()
-        if matrix is None or not pair_list:
-            return [self.lower_bound(u, v) for u, v in pair_list]
-        import numpy as np
-
         column_of = self._column_of
         us = np.fromiter(
             (column_of[u] for u, _ in pair_list), dtype=np.int64,

@@ -5,10 +5,10 @@ algorithm's complexity is dominated by ``|Q|`` single-source traversals
 (Algorithm 1, line 1), and the Wiener index itself is an all-pairs BFS sum.
 
 This module is the pure-Python ("dict") implementation.  The CSR array
-backend (:mod:`repro.graphs.csr`) provides vectorized equivalents of the
-BFS kernels; hot paths such as ``wiener_steiner(backend="csr")`` use those
-directly, while these versions remain the reference implementation, the
-fallback when numpy is unavailable, and the API for hashable node labels.
+layer (:mod:`repro.graphs.csr`) provides vectorized equivalents of the
+BFS kernels; hot paths such as ``wiener_steiner`` use those directly,
+while these versions remain the reference implementation and the API for
+hashable node labels.
 """
 
 from __future__ import annotations

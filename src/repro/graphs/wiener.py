@@ -10,9 +10,9 @@ BFS per node (``O(|V| (|V| + |E|))``); for the large solutions produced by
 baseline methods we also provide a pair-sampling estimator, matching the
 paper's Remark 1 ("approximate the Wiener index" for large candidates).
 
-Above :data:`CSR_DISPATCH_THRESHOLD` nodes (and when numpy is available),
+Above :data:`CSR_DISPATCH_THRESHOLD` nodes,
 :func:`wiener_index` and :func:`wiener_index_sampled` convert to the CSR
-array backend once and run their BFS passes there — the ``O(|E|)``
+array layer once and run their BFS passes there — the ``O(|E|)``
 relabeling is amortized over the traversals.  Distance sums are integers
 (and the sampled estimator draws the same sources either way), so the
 array paths return bit-identical values to the dict paths.
@@ -24,20 +24,17 @@ import math
 import random
 from collections.abc import Iterable
 
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph, Node
 from repro.graphs.traversal import bfs_distances
 
-#: Node count at which Wiener computation switches to the CSR backend;
+#: Node count at which Wiener computation switches to the CSR arrays;
 #: below it the relabeling overhead exceeds the vectorization gain.
 CSR_DISPATCH_THRESHOLD = 128
 
 
-def _csr_or_none(graph: Graph):
+def _csr_or_none(graph: Graph) -> CSRGraph | None:
     if graph.num_nodes < CSR_DISPATCH_THRESHOLD:
-        return None
-    from repro.graphs.csr import HAS_NUMPY, CSRGraph
-
-    if not HAS_NUMPY:
         return None
     return CSRGraph.from_graph(graph)
 
@@ -46,8 +43,8 @@ def wiener_index(graph: Graph) -> float:
     """Return the exact Wiener index of ``graph``.
 
     Returns ``math.inf`` if the graph is disconnected, 0 for graphs with
-    fewer than two nodes.  Large graphs are computed on the CSR array
-    backend (same exact value, much lower constant factors).
+    fewer than two nodes.  Large graphs are computed on the CSR arrays
+    (same exact value, much lower constant factors).
     """
     n = graph.num_nodes
     if n < 2:
@@ -78,7 +75,7 @@ def rooted_distance_sum(graph: Graph, root: Node, csr=None) -> float:
     """Return ``Σ_v d_H(root, v)``; infinite if some node is unreachable.
 
     Callers that already hold a :class:`~repro.graphs.csr.CSRGraph` of
-    ``graph`` can pass it as ``csr`` to run the BFS on the array backend
+    ``graph`` can pass it as ``csr`` to run the BFS on the arrays
     (a one-shot conversion would cost more than the dict BFS it saves).
     """
     if csr is not None:

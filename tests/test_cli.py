@@ -260,7 +260,7 @@ class TestMain:
         assert entry["query"] == [0, 1, 2]
         assert set(entry["query"]) <= set(entry["nodes"])
         assert entry["wiener_index"] == pytest.approx(entry["wiener_index"])
-        assert entry["metadata"]["backend"] in ("csr", "dict")
+        assert "backend" not in entry["metadata"]
 
     def test_query_batch_matches_one_shot(self, tmp_path, capsys):
         """The served batch must return exactly the one-shot connectors."""

@@ -1,10 +1,11 @@
-"""Property tests for the CSR array backend.
+"""Property tests for the CSR array engine.
 
 The contract under test is strong: the CSR kernels must return results
 *identical* to the dict reference implementations — identical distances,
 identical canonical BFS/Voronoi trees, identical Steiner trees, and
-identical ``wiener_steiner`` connectors — on random corpora, not merely
-results of equal quality.
+``wiener_steiner`` connectors identical to the dict reference oracle
+(:func:`repro.core.reference.reference_wiener_steiner`) — on random
+corpora, not merely results of equal quality.
 """
 
 import math
@@ -12,11 +13,14 @@ import random
 
 import pytest
 
-from helpers import random_connected_graph, random_weighted_graph
-from repro.core.fastpath import (
-    mehlhorn_steiner_csr,
-    voronoi_dijkstra_csr,
+from helpers import (
+    assert_same_winner,
+    random_connected_graph,
+    random_weighted_graph,
 )
+from repro.core.fastpath import _voronoi_phase, mehlhorn_steiner_csr
+from repro.core.options import SolveOptions
+from repro.core.reference import reference_wiener_steiner
 from repro.core.steiner import (
     canonical_forest_from_distances,
     dijkstra_distances_canonical,
@@ -25,7 +29,8 @@ from repro.core.steiner import (
     voronoi_dijkstra_canonical,
 )
 from repro.core.wiener_steiner import wiener_steiner
-from repro.graphs.csr import HAS_NUMPY, CSRGraph, order_map
+from repro.errors import GraphError
+from repro.graphs.csr import CSRGraph, order_map
 from repro.graphs.generators import connectify, erdos_renyi
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
@@ -35,8 +40,6 @@ from repro.graphs.traversal import (
     multi_source_bfs,
 )
 from repro.graphs.wiener import rooted_distance_sum, wiener_index
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="CSR backend needs numpy")
 
 
 class TestCSRStructure:
@@ -149,14 +152,17 @@ class TestSteinerEquivalence:
         sources = rng.sample(node_of, 4)
         expected = voronoi_dijkstra_canonical(wg, sources, order, node_of)
         csr, weights = CSRGraph.from_weighted_graph(wg)
-        actual = voronoi_dijkstra_csr(
-            csr.indptr.tolist(),
-            csr.indices.tolist(),
-            weights.tolist(),
-            csr.num_nodes,
-            [order[s] for s in sources],
+        # The engine's phase 1 (scipy distances + the canonical forest
+        # rebuilt from them) matches the dict distances bit for bit and
+        # the dict forest rebuilt from those distances.
+        terminal_indices = sorted(order[s] for s in sources)
+        dist, parent, closest = _voronoi_phase(csr, weights, terminal_indices)
+        assert dist.tolist() == list(expected[0])
+        dict_parent, dict_closest = canonical_forest_from_distances(
+            wg, list(expected[0]), order, node_of, terminal_indices
         )
-        assert actual == tuple(expected) or list(actual) == list(expected)
+        assert list(parent) == list(dict_parent)
+        assert closest.tolist() == list(dict_closest)
         # distance-only variant agrees too
         assert (
             dijkstra_distances_canonical(wg, sources, order, node_of)
@@ -205,7 +211,15 @@ class TestSteinerEquivalence:
 
 
 class TestBackendEquality:
-    """The headline acceptance property: identical connectors."""
+    """The headline acceptance property: the engine's connectors are the
+    dict reference oracle's, with the same root and λ."""
+
+    @staticmethod
+    def _assert_matches_oracle(graph, query, **kwargs):
+        served = wiener_steiner(graph, query, **kwargs)
+        oracle = reference_wiener_steiner(graph, query, SolveOptions(**kwargs))
+        assert_same_winner(served, oracle)
+        return served, oracle
 
     @pytest.mark.parametrize("seed", range(12))
     def test_connectors_identical(self, seed):
@@ -214,12 +228,8 @@ class TestBackendEquality:
         g = connectify(erdos_renyi(n, rng.uniform(0.05, 0.3), rng=rng), rng=rng)
         k = min(rng.randint(2, 6), g.num_nodes)
         query = rng.sample(sorted(g.nodes()), k)
-        a = wiener_steiner(g, query, backend="dict")
-        b = wiener_steiner(g, query, backend="csr")
-        assert a.nodes == b.nodes
-        assert a.wiener_index == b.wiener_index
-        assert a.metadata["backend"] == "dict"
-        assert b.metadata["backend"] == "csr"
+        served, oracle = self._assert_matches_oracle(g, query)
+        assert served.wiener_index == oracle.wiener_index
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -236,30 +246,22 @@ class TestBackendEquality:
             g = random_connected_graph(45, 0.1, seed + 10100)
             rng = random.Random(seed)
             query = rng.sample(sorted(g.nodes()), 4)
-            a = wiener_steiner(g, query, backend="dict", **kwargs)
-            b = wiener_steiner(g, query, backend="csr", **kwargs)
-            assert a.nodes == b.nodes, (seed, kwargs)
+            self._assert_matches_oracle(g, query, **kwargs)
 
     def test_custom_roots_identical(self):
         g = random_connected_graph(40, 0.12, 10200)
         query = sorted(g.nodes())[:3]
         roots = sorted(g.nodes())[:8]
-        a = wiener_steiner(g, query, roots=roots, backend="dict")
-        b = wiener_steiner(g, query, roots=roots, backend="csr")
-        assert a.nodes == b.nodes
+        self._assert_matches_oracle(g, query, roots=roots)
 
     def test_disconnected_host_identical(self):
         g = Graph([(0, 1), (1, 2), (2, 3), (3, 4), (10, 11), (11, 12)])
-        a = wiener_steiner(g, [0, 4], backend="dict")
-        b = wiener_steiner(g, [0, 4], backend="csr")
-        assert a.nodes == b.nodes == frozenset(range(5))
+        served, oracle = self._assert_matches_oracle(g, [0, 4])
+        assert served.nodes == oracle.nodes == frozenset(range(5))
 
-    def test_auto_backend_picks_csr_on_large_graphs(self):
-        g = random_connected_graph(200, 0.03, 10300)
-        query = sorted(g.nodes())[:3]
-        result = wiener_steiner(g, query)
-        assert result.metadata["backend"] == "csr"
-
-    def test_unknown_backend_raises(self, path5):
-        with pytest.raises(ValueError):
-            wiener_steiner(path5, [0, 4], backend="bogus")
+    def test_mehlhorn_rejects_non_positive_weights(self):
+        wg = random_weighted_graph(20, 60, 10400)
+        csr, weights = CSRGraph.from_weighted_graph(wg)
+        weights[0] = 0.0
+        with pytest.raises(GraphError):
+            mehlhorn_steiner_csr(csr, weights, [0, csr.num_nodes - 1])

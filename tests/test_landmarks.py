@@ -7,7 +7,6 @@ import pytest
 
 from helpers import random_connected_graph, random_weighted_graph
 from repro.errors import GraphError
-from repro.graphs.csr import HAS_NUMPY
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.landmarks import LandmarkIndex
 from repro.graphs.generators import barabasi_albert, connectify, erdos_renyi, path_graph, star_graph
@@ -115,11 +114,7 @@ class TestDisconnectedContract:
             graph, num_landmarks=4, strategy=strategy, rng=random.Random(0)
         )
 
-    @pytest.mark.parametrize("use_csr", [
-        False,
-        pytest.param(True, marks=pytest.mark.skipif(
-            not HAS_NUMPY, reason="CSR table build needs numpy")),
-    ])
+    @pytest.mark.parametrize("use_csr", [False, True])
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_estimate_is_inf_never_raises(self, use_csr, seed):
         graph, satellites = _disconnected_graph(seed)
@@ -144,11 +139,7 @@ class TestDisconnectedContract:
         value = index.estimate(u, v)
         assert isinstance(value, float) and math.isfinite(value)
 
-    @pytest.mark.parametrize("use_csr", [
-        False,
-        pytest.param(True, marks=pytest.mark.skipif(
-            not HAS_NUMPY, reason="CSR table build needs numpy")),
-    ])
+    @pytest.mark.parametrize("use_csr", [False, True])
     def test_wiener_estimate_propagates_inf(self, use_csr):
         graph, satellites = _disconnected_graph(404)
         index = self._index(graph, use_csr)
@@ -163,11 +154,7 @@ class TestDisconnectedContract:
         # an all-reachable subset stays finite
         assert math.isfinite(index.wiener_estimate(main[:5]))
 
-    @pytest.mark.parametrize("use_csr", [
-        False,
-        pytest.param(True, marks=pytest.mark.skipif(
-            not HAS_NUMPY, reason="CSR table build needs numpy")),
-    ])
+    @pytest.mark.parametrize("use_csr", [False, True])
     def test_dict_and_csr_builds_agree(self, use_csr):
         """Both table builds hold the same distances, so the estimates —
         finite and infinite — are identical."""
@@ -296,7 +283,6 @@ class TestReprAndCSROnly:
         index = LandmarkIndex(path_graph(3), num_landmarks=10)
         assert "landmarks=3" in repr(index)  # built 3, not the 10 asked for
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="CSR construction needs numpy")
     def test_csr_only_construction_matches_graph_build(self):
         from repro.graphs.csr import CSRGraph
 

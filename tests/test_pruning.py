@@ -3,8 +3,9 @@
 The contract under test (see :mod:`repro.core.pruning`): pruning only
 ever skips ``(root, λ)`` pairs whose *provable* score lower bound exceeds
 the running incumbent, so a pruned sweep returns the same winning
-``(nodes, root, λ, key)`` as the unpruned sweep — across backends, shard
-counts, warm/cold caches, and mutation epochs.  The ``candidates`` trace
+``(nodes, root, λ, key)`` as the unpruned sweep — and as the dict
+reference oracle — across shard counts, warm/cold caches, and mutation
+epochs.  The ``candidates`` trace
 may legitimately differ (pruned roots never materialize candidate sets),
 so the pruned-vs-unpruned comparisons here pin the winner, while the
 all-defaults comparisons across serving paths use the full
@@ -22,6 +23,7 @@ from helpers import (
     random_query_batch,
 )
 from repro.core.options import SolveOptions
+from repro.core.reference import reference_wiener_steiner
 from repro.core.pruning import (
     candidate_bound,
     exact_score_floor,
@@ -32,10 +34,18 @@ from repro.core.pruning import (
 from repro.core.service import ConnectorService, _lambda_grid, _root_list
 from repro.core.sharded import ShardedConnectorService
 from repro.core.versioned import GraphDelta
-from repro.graphs.csr import HAS_NUMPY
 from test_versioned import delta_for
 
-BACKENDS = ["dict"] + (["csr"] if HAS_NUMPY else [])
+#: What the pruned sweep is checked against: ``"csr"`` an unpruned
+#: service, ``"dict"`` the dict reference oracle (which never prunes).
+REFERENCES = ["csr", "dict"]
+
+
+def _unpruned_solver(graph, options: SolveOptions, reference: str):
+    """A query -> result callable for the unpruned side of a comparison."""
+    if reference == "dict":
+        return lambda query: reference_wiener_steiner(graph, query, options)
+    return ConnectorService(graph, options).solve
 
 
 def _winner(result):
@@ -51,28 +61,33 @@ def _winner(result):
 # The tentpole contract: pruned == unpruned, bit for bit
 # ----------------------------------------------------------------------
 class TestPrunedUnprunedIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("reference", REFERENCES)
     @pytest.mark.parametrize("selection", ["a", "wiener", "auto", "sampled"])
     @pytest.mark.parametrize("seed", [3, 17, 64])
-    def test_same_winner_across_selections(self, backend, selection, seed):
+    def test_same_winner_across_selections(self, reference, selection, seed):
         rng = random.Random(seed)
         g = random_connected_graph(55, 0.08, seed)
         queries = random_query_batch(g, rng, 10, lo=2, hi=6)
         # A small exact_threshold exercises the auto/sampled regime split
         # on candidates this size instead of routing everything to exact.
-        base = SolveOptions(
-            backend=backend, selection=selection, exact_threshold=8
-        )
+        base = SolveOptions(selection=selection, exact_threshold=8)
         pruned = ConnectorService(g, base)
-        unpruned = ConnectorService(g, base.replace(prune=False))
+        unpruned = _unpruned_solver(g, base.replace(prune=False), reference)
         for query in queries:
-            assert _winner(pruned.solve(query)) == _winner(unpruned.solve(query))
+            assert _winner(pruned.solve(query)) == _winner(unpruned(query))
         stats = pruned.stats()
         assert stats.pairs_pruned + stats.pairs_scored > 0
-        assert unpruned.stats().pairs_pruned == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_same_winner_with_extended_roots(self, backend, seed=29):
+    def test_unpruned_service_never_prunes(self):
+        g = random_connected_graph(55, 0.08, 3)
+        unpruned = ConnectorService(g, SolveOptions(prune=False))
+        for query in random_query_batch(g, random.Random(3), 5, lo=2, hi=6):
+            unpruned.solve(query)
+        stats = unpruned.stats()
+        assert stats.pairs_pruned == 0 and stats.pairs_scored > 0
+
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_same_winner_with_extended_roots(self, reference, seed=29):
         """Non-default roots (beyond Lemma 5's query set) widen the sweep
         — exactly where root-level pruning fires hardest and where the
         any-scoring-root requirement of the proxy bound is exercised."""
@@ -86,24 +101,21 @@ class TestPrunedUnprunedIdentity:
             )
             for selection in ("a", "auto"):
                 opts = SolveOptions(
-                    backend=backend, roots=roots, selection=selection,
-                    exact_threshold=8,
+                    roots=roots, selection=selection, exact_threshold=8
                 )
                 pruned = ConnectorService(g, opts)
-                unpruned = ConnectorService(g, opts.replace(prune=False))
-                assert _winner(pruned.solve(query)) == _winner(
-                    unpruned.solve(query)
-                )
+                unpruned = _unpruned_solver(g, opts.replace(prune=False), reference)
+                assert _winner(pruned.solve(query)) == _winner(unpruned(query))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_warm_and_cold_prune_identically(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_warm_and_cold_prune_identically(self, reference):
         """Counters and answers are a pure function of (graph, query,
         options): re-solving on a warm service adds result-cache hits,
         never different pruning decisions."""
         g = random_connected_graph(40, 0.1, 71)
         rng = random.Random(71)
         queries = random_query_batch(g, rng, 6)
-        warm = ConnectorService(g, SolveOptions(backend=backend))
+        warm = ConnectorService(g)
         for query in queries:
             warm.solve(query)
         after_cold = warm.stats()
@@ -113,32 +125,29 @@ class TestPrunedUnprunedIdentity:
         assert after_warm.pairs_pruned == after_cold.pairs_pruned
         assert after_warm.pairs_scored == after_cold.pairs_scored
 
-        fresh = ConnectorService(g, SolveOptions(backend=backend))
+        fresh = ConnectorService(g)
         for query in queries:
             assert_connector_identical(fresh.solve(query), warm.solve(query))
         assert fresh.stats().pairs_pruned == after_cold.pairs_pruned
         assert fresh.stats().pairs_scored == after_cold.pairs_scored
+        unpruned = _unpruned_solver(g, SolveOptions(prune=False), reference)
+        for query in queries:
+            assert _winner(warm.solve(query)) == _winner(unpruned(query))
 
 
 class TestIdentityAcrossServingPaths:
     """Default options (pruning on) through every serving path: the
     existing cross-path bit-identity contract must survive pruning."""
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="cross-backend needs numpy")
     def test_backends_agree_under_default_pruning(self):
+        """The default (pruned) service picks the dict oracle's winner."""
         g = random_connected_graph(50, 0.09, 83)
         rng = random.Random(83)
-        dict_service = ConnectorService(g, SolveOptions(backend="dict"))
-        csr_service = ConnectorService(g, SolveOptions(backend="csr"))
+        service = ConnectorService(g)
         for query in random_query_batch(g, rng, 8):
-            assert_connector_identical(
-                dict_service.solve(query), csr_service.solve(query)
+            assert _winner(service.solve(query)) == _winner(
+                reference_wiener_steiner(g, query)
             )
-        # ...and both backends made the *same* pruning decisions.
-        assert (
-            dict_service.stats().pairs_pruned
-            == csr_service.stats().pairs_pruned
-        )
 
     @pytest.mark.parametrize("n_shards", [1, 2])
     def test_sharded_matches_local_across_epochs(self, n_shards):
@@ -166,15 +175,16 @@ class TestIdentityAcrossServingPaths:
 # Counters partition the sweep
 # ----------------------------------------------------------------------
 class TestCounters:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pruned_plus_scored_covers_every_pair(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_pruned_plus_scored_covers_every_pair(self, reference):
         g = random_connected_graph(45, 0.1, 13)
         rng = random.Random(13)
-        service = ConnectorService(g, SolveOptions(backend=backend))
+        service = ConnectorService(g)
+        unpruned = _unpruned_solver(g, SolveOptions(prune=False), reference)
         expected = 0
         for query in random_query_batch(g, rng, 7, lo=2, hi=5):
             query_set = frozenset(query)
-            service.solve(query)
+            assert _winner(service.solve(query)) == _winner(unpruned(query))
             grid = _lambda_grid(g.num_nodes, service.options.beta)
             roots = _root_list(service.options, query_set)
             expected += len(grid) * len(roots)
@@ -214,7 +224,7 @@ class TestBoundValidity:
         rng = random.Random(seed)
         opts = SolveOptions(selection=selection, exact_threshold=8, prune=False)
         service = ConnectorService(g, opts)
-        engine = service._engine(service._backend_name(opts))
+        engine = service._engine()
         for query in random_query_batch(g, rng, 5, lo=2, hi=5):
             query_set = frozenset(query)
             roots = _root_list(opts, query_set)
@@ -222,8 +232,7 @@ class TestBoundValidity:
             bounds = _sweep_root_bounds(engine, roots, query_set, opts)
             for root in roots:
                 per_lam = service._candidates_for_root(
-                    engine, service._backend_name(opts), root, grid,
-                    query_set, opts.adjust,
+                    engine, root, grid, query_set, opts.adjust
                 )
                 for candidate in per_lam:
                     key = service._score_candidate(

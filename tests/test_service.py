@@ -14,20 +14,32 @@ import pytest
 
 from helpers import (
     assert_connector_identical,
+    assert_same_winner,
     random_connected_graph,
     random_query_batch,
 )
 from repro.baselines import METHODS, steiner_connector
 from repro.core.options import FunctionMethod, Method, SolveOptions
+from repro.core.reference import reference_wiener_steiner
 from repro.core.service import ConnectorService, service_from_payload
 from repro.core.wiener_steiner import wiener_steiner
 from repro.errors import DisconnectedGraphError, GraphError, InvalidQueryError
-from repro.graphs.csr import HAS_NUMPY
 from repro.graphs.graph import Graph
 from repro.graphs.landmarks import LandmarkIndex
 from repro.graphs.traversal import bfs_distances
 
-BACKENDS = ["dict"] + (["csr"] if HAS_NUMPY else [])
+
+#: What a service's answers are checked against: ``"csr"`` is the one-shot
+#: ``wiener_steiner`` (full contract, candidates trace included), ``"dict"``
+#: the dict reference oracle (same winner; it never prunes).
+REFERENCES = ["csr", "dict"]
+
+
+def assert_matches_reference(result, graph, query, reference: str) -> None:
+    if reference == "csr":
+        assert_connector_identical(result, wiener_steiner(graph, query))
+    else:
+        assert_same_winner(result, reference_wiener_steiner(graph, query))
 
 
 class TestSolveOptions:
@@ -35,7 +47,7 @@ class TestSolveOptions:
         options = SolveOptions()
         assert options.method == "ws-q"
         assert options.selection == "auto"
-        assert options.backend == "auto"
+        assert options.prune is True
 
     def test_normalizes_iterables_and_stays_hashable(self):
         options = SolveOptions(roots=[1, 2], lambda_values=[0.5, 2.0])
@@ -50,7 +62,7 @@ class TestSolveOptions:
             {"beta": 0.0},
             {"beta": -1.0},
             {"selection": "nope"},
-            {"backend": "gpu"},
+            {"method": None},
             {"method": ""},
             {"lambda_values": ()},
             {"exact_threshold": -1},
@@ -58,6 +70,23 @@ class TestSolveOptions:
         ],
     )
     def test_validates_eagerly(self, kwargs):
+        with pytest.raises(ValueError):
+            SolveOptions(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lambda_values": [0.0]},
+            {"lambda_values": [-1.0]},
+            {"lambda_values": [1.0, float("nan")]},
+            {"lambda_values": [float("inf")]},
+            {"beta": float("nan")},
+            {"beta": float("inf")},
+        ],
+    )
+    def test_rejects_non_positive_or_non_finite_lambda_and_beta(self, kwargs):
+        """Out-of-range λ and β fail at construction, before any sweep
+        (β = nan would otherwise silently shrink the λ grid)."""
         with pytest.raises(ValueError):
             SolveOptions(**kwargs)
 
@@ -69,38 +98,34 @@ class TestSolveOptions:
 
 
 class TestServiceIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_one_shot_on_random_corpus(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_matches_one_shot_on_random_corpus(self, reference):
         rng = random.Random(101)
         for seed in range(4):
             g = random_connected_graph(rng.randint(28, 64), 0.09, seed)
-            service = ConnectorService(g, SolveOptions(backend=backend))
+            service = ConnectorService(g)
             for query in random_query_batch(g, rng, 3):
-                assert_connector_identical(
-                    service.solve(query),
-                    wiener_steiner(g, query, backend=backend),
-                )
+                assert_matches_reference(service.solve(query), g, query, reference)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_warm_cache_is_identical_and_hits(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_warm_cache_is_identical_and_hits(self, reference):
         g = random_connected_graph(40, 0.09, 7)
         rng = random.Random(7)
-        service = ConnectorService(g, SolveOptions(backend=backend))
+        service = ConnectorService(g)
         query = rng.sample(sorted(g.nodes()), 4)
         cold = service.solve(query)
         warm = service.solve(query)
         assert warm is cold  # served straight from the result cache
         assert service.stats().result_hits == 1
-        assert_connector_identical(warm, wiener_steiner(g, query, backend=backend))
+        assert_matches_reference(warm, g, query, reference)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_identical_after_lru_eviction(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_identical_after_lru_eviction(self, reference):
         """Tiny LRU bounds force constant eviction; answers must not change."""
         g = random_connected_graph(36, 0.1, 13)
         rng = random.Random(13)
         service = ConnectorService(
             g,
-            SolveOptions(backend=backend),
             max_cached_roots=1,
             max_cached_candidates=2,
             max_cached_scores=2,
@@ -109,10 +134,7 @@ class TestServiceIdentity:
         queries = random_query_batch(g, rng, 3)
         for _ in range(2):  # interleave so every cache layer churns
             for query in queries:
-                assert_connector_identical(
-                    service.solve(query),
-                    wiener_steiner(g, query, backend=backend),
-                )
+                assert_matches_reference(service.solve(query), g, query, reference)
 
     def test_overlapping_queries_reuse_roots(self):
         g = random_connected_graph(48, 0.09, 5)
@@ -157,17 +179,16 @@ class TestServiceIdentity:
         with pytest.raises(GraphError):
             ConnectorService()
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="needs both backends")
     def test_backends_identical_through_service(self):
+        """An unpruned service matches the oracle's whole sweep trace."""
         g = random_connected_graph(52, 0.08, 17)
         rng = random.Random(17)
-        csr_service = ConnectorService(g, SolveOptions(backend="csr"))
-        dict_service = ConnectorService(g, SolveOptions(backend="dict"))
+        options = SolveOptions(prune=False)
+        service = ConnectorService(g, options)
         for query in random_query_batch(g, rng, 3):
-            a = csr_service.solve(query)
-            b = dict_service.solve(query)
-            assert a.nodes == b.nodes
-            assert a.metadata["root"] == b.metadata["root"]
+            assert_connector_identical(
+                service.solve(query), reference_wiener_steiner(g, query, options)
+            )
 
 
 class TestShardWorkerAPI:
@@ -223,17 +244,17 @@ class TestShardWorkerAPI:
 
 
 class TestParallelServing:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_solve_many_parallel_matches_one_shot(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_solve_many_parallel_matches_one_shot(self, reference):
         g = random_connected_graph(40, 0.1, 23)
         rng = random.Random(23)
         queries = random_query_batch(g, rng, 3, lo=2, hi=4)
         queries.append(queries[0])  # a duplicate the batch must dedupe
-        service = ConnectorService(g, SolveOptions(backend=backend))
+        service = ConnectorService(g)
         results = service.solve_many(queries, parallel=True, max_workers=2)
         assert len(results) == len(queries)
         for query, result in zip(queries, results):
-            assert_connector_identical(result, wiener_steiner(g, query, backend=backend))
+            assert_matches_reference(result, g, query, reference)
         assert results[-1] is results[0]
         assert results[0].metadata["parallel"] is True
         assert results[0].metadata["workers"] == 2
@@ -296,10 +317,10 @@ class TestParallelServing:
 
 
 class TestSampledSelection:
-    @pytest.mark.skipif(not HAS_NUMPY, reason="parity needs both backends")
     def test_backend_parity_when_sampling(self):
         """``exact_threshold=0`` forces the sampled estimator for every
-        candidate; the backends must still agree bit for bit."""
+        candidate; the engine and the dict oracle must still agree bit
+        for bit."""
         options = SolveOptions(
             selection="sampled", exact_threshold=0, sample_sources=3
         )
@@ -307,16 +328,16 @@ class TestSampledSelection:
         for seed in range(3):
             g = random_connected_graph(rng.randint(28, 56), 0.1, seed)
             query = rng.sample(sorted(g.nodes()), 4)
-            a = wiener_steiner(
-                g, query, selection="sampled", backend="csr"
+            for opts in (SolveOptions(selection="sampled"), options):
+                assert_same_winner(
+                    ConnectorService(g, opts).solve(query),
+                    reference_wiener_steiner(g, query, opts),
+                )
+            unpruned = options.replace(prune=False)
+            assert_connector_identical(
+                ConnectorService(g, unpruned).solve(query),
+                reference_wiener_steiner(g, query, unpruned),
             )
-            b = wiener_steiner(
-                g, query, selection="sampled", backend="dict"
-            )
-            assert a.nodes == b.nodes
-            a2 = ConnectorService(g, options.replace(backend="csr")).solve(query)
-            b2 = ConnectorService(g, options.replace(backend="dict")).solve(query)
-            assert a2.nodes == b2.nodes
 
     def test_sampled_covering_sources_equals_exact(self):
         g = random_connected_graph(30, 0.12, 37)
@@ -330,7 +351,6 @@ class TestSampledSelection:
         exact = wiener_steiner(g, query, selection="wiener")
         assert sampled.nodes == exact.nodes
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="CSR dispatch needs numpy")
     def test_wiener_index_sampled_csr_matches_dict(self, monkeypatch):
         import repro.graphs.wiener as wiener_mod
 
@@ -436,7 +456,6 @@ class TestServiceLandmarks:
         with pytest.raises(GraphError):
             service.estimate_distance(0, 1)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="CSR tables need numpy")
     def test_csr_tables_match_dict_tables(self):
         g = random_connected_graph(150, 0.05, 61)
         fast = LandmarkIndex(g, num_landmarks=3)

@@ -164,6 +164,40 @@ class TestGatewayServer:
         assert bad_options.error_type == "ValueError"
         assert document["size"] >= 2
 
+    def test_invalid_options_get_typed_errors_at_the_json_boundary(self):
+        """A λ of 0 and the removed ``backend`` field are each refused
+        with a typed ``ValueError`` reply; the same connection then
+        serves a valid query."""
+        graph = random_connected_graph(20, 0.2, seed=5)
+        query = sorted(graph.nodes())[:3]
+
+        async def scenario():
+            gateway = AsyncGateway(ConnectorService(graph))
+            try:
+                async with GatewayServer(gateway, port=0) as server:
+                    async with await AsyncConnectorClient.connect(
+                        port=server.port
+                    ) as client:
+                        zero_lambda = await client.request(
+                            {"query": query, "options": {"lambda_values": [0]}}
+                        )
+                        backend = await client.request(
+                            {"query": query, "options": {"backend": "csr"}}
+                        )
+                        document = await client.solve(query)
+                        return zero_lambda, backend, document
+            finally:
+                await gateway.aclose()
+
+        zero_lambda, backend, document = run(scenario())
+        assert zero_lambda["ok"] is False
+        assert zero_lambda["error_type"] == "ValueError"
+        assert "lambda_values" in zero_lambda["error"]
+        assert backend["ok"] is False
+        assert backend["error_type"] == "ValueError"
+        assert "unknown option fields ['backend']" in backend["error"]
+        assert sorted(document["nodes"]) == sorted(wiener_steiner(graph, query).nodes)
+
     def test_bad_query_in_shared_window_spares_concurrent_good_one(self):
         """The protocol promise: a request-level failure fails only that
         request — even when it shares a gateway window with valid ones."""

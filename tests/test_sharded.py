@@ -33,7 +33,6 @@ from repro.core.sharded import (
 )
 from repro.core.wiener_steiner import wiener_steiner
 from repro.errors import DisconnectedGraphError, InvalidQueryError
-from repro.graphs.csr import HAS_NUMPY
 from repro.graphs.graph import Graph
 
 SHARD_COUNTS = (1, 2, 5)
@@ -268,36 +267,15 @@ class TestRouter:
             }
             assert len(digests) == 3
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="CSR payload needs numpy")
     def test_shards_seeded_with_bare_arrays_not_graphs(self):
         g = random_connected_graph(40, 0.1, 31)
-        with ShardedConnectorService(
-            g, SolveOptions(backend="csr"), n_shards=2
-        ) as sharded:
-            assert sharded.payload_kind == "csr"
+        with ShardedConnectorService(g, n_shards=2) as sharded:
             assert "graph" not in sharded._payload
+            assert set(sharded._payload) >= {"indptr", "indices", "node_of"}
             [result] = sharded.solve_many([sorted(g.nodes())[:3]])
             assert_connector_identical(
-                result, wiener_steiner(g, sorted(g.nodes())[:3], backend="csr")
+                result, wiener_steiner(g, sorted(g.nodes())[:3])
             )
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="CSR payload needs numpy")
-    def test_dict_backend_override_served_locally_on_csr_shards(self):
-        """Per-call options remain fully overridable: a backend="dict"
-        request needs the host graph, which CSR-seeded shard replicas do
-        not have, so the router's local service answers it — identically."""
-        g = random_connected_graph(36, 0.1, 67)
-        rng = random.Random(67)
-        query = rng.sample(sorted(g.nodes()), 4)
-        with ShardedConnectorService(
-            g, SolveOptions(backend="csr"), n_shards=2
-        ) as sharded:
-            result = sharded.solve(query, SolveOptions(backend="dict"))
-            assert_connector_identical(
-                result, wiener_steiner(g, query, backend="dict")
-            )
-            assert result.metadata["backend"] == "dict"
-            assert sharded.stats().requests_routed == 0  # never hit a shard
 
     def test_worker_fault_fails_request_not_shard(self):
         """A query spanning components passes membership validation but
@@ -398,7 +376,6 @@ class TestSolveOptionsKeys:
         "selection": "wiener",
         "adjust": False,
         "lambda_values": (1.0, 2.0),
-        "backend": "dict",
         "exact_threshold": 10,
         "sample_sources": 8,
         "sample_seed": 3,

@@ -29,12 +29,14 @@ import pytest
 from helpers import (
     assert_connector_identical,
     assert_no_orphan_processes,
+    assert_same_winner,
     random_connected_graph,
     random_query_batch,
     spawn_shard_host,
 )
 from repro.core.gateway import AsyncGateway
 from repro.core.options import SolveOptions
+from repro.core.reference import reference_wiener_steiner
 from repro.core.retry import BackoffPolicy
 from repro.core.service import ConnectorService
 from repro.core.sharded import ShardLinkError, ShardedConnectorService
@@ -393,11 +395,11 @@ class TestIndexDigestProperties:
             assert index_digest_of(probe) != baseline
 
     def test_digest_agrees_across_backends_under_mutation(self):
+        """A graph-holding service and a bare-CSR one digest alike."""
         rng = random.Random(29)
         dict_service = ConnectorService(random_connected_graph(30, 0.15, 29))
         csr_service = ConnectorService(
-            random_connected_graph(30, 0.15, 29),
-            SolveOptions(backend="csr"),
+            csr=CSRGraph.from_graph(random_connected_graph(30, 0.15, 29))
         )
         assert dict_service.index_digest() == csr_service.index_digest()
         for _ in range(3):
@@ -487,21 +489,27 @@ class TestServiceApplyDelta:
         assert_connector_identical(service.solve(query), before)
 
     def test_dict_and_csr_services_stay_bit_identical_under_mutation(self):
+        """A graph-holding service and a bare-CSR one stay identical to
+        cold solves across deltas; the dict oracle agrees on the winner."""
         rng = random.Random(47)
         graph = random_connected_graph(40, 0.12, seed=47)
-        dict_service = ConnectorService(graph.copy())
-        csr_service = ConnectorService(graph.copy(), SolveOptions(backend="csr"))
+        service = ConnectorService(graph.copy())
+        csr_service = ConnectorService(csr=CSRGraph.from_graph(graph))
         queries = random_query_batch(graph, rng, 6)
         reference = graph.copy()
         for _ in range(2):
             delta = delta_for(reference, rng)
-            dict_service.apply_delta(delta)
+            service.apply_delta(delta)
             csr_service.apply_delta(delta)
             delta.apply_to_graph(reference)
             for query in queries:
                 cold = wiener_steiner(reference, query)
-                assert_connector_identical(dict_service.solve(query), cold)
-                assert_connector_identical(csr_service.solve(query), cold)
+                assert_connector_identical(service.solve(query), cold)
+                outcome = csr_service.sweep(query)
+                assert (outcome.nodes, outcome.root, outcome.lam) == (
+                    cold.nodes, cold.metadata["root"], cold.metadata["lambda"]
+                )
+                assert_same_winner(cold, reference_wiener_steiner(reference, query))
 
     def test_mutating_a_submitted_graph_does_not_corrupt_answers(self):
         # The defensive-copy regression: the service owns a private copy,
