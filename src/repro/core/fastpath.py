@@ -13,8 +13,9 @@ whole sweep and replaces each inner loop with array operations:
   ``(root, λ)`` pair;
 * Mehlhorn phase 1 (:func:`mehlhorn_steiner_csr`) takes distances from
   scipy's C Dijkstra, rebuilds the canonical Voronoi forest from them with
-  array operations, and reduces the crossing-edge candidates with one
-  ``lexsort``;
+  two scatter-mins and pointer doubling, and reduces the crossing edges
+  to one candidate per terminal pair with a scatter-min over the
+  compacted crossing arcs — nothing in phase 1 sorts;
 * candidate scoring reuses the CSR structure through
   :meth:`CSRGraph.induced` index masks instead of ``graph.subgraph``
   rebuilds.
@@ -40,14 +41,14 @@ from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 from repro.core.adjust import adjust_distances
 from repro.core.lru import LRUCache
 from repro.core.steiner import steiner_tree_from_voronoi
-from repro.errors import GraphError
+from repro.errors import GraphError, InvalidQueryError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph, Node, WeightedGraph
 
 __all__ = ["CSRWienerSteinerEngine", "mehlhorn_steiner_csr"]
 
 
-def _voronoi_phase(csr: CSRGraph, weights, terminals: list[int], matrix=None):
+def _voronoi_phase(csr: CSRGraph, weights, terminals, matrix=None):
     """Mehlhorn phase 1: distances from scipy's C Dijkstra, then the forest.
 
     Weights must be strictly positive (every ``G_{r,λ}`` instance
@@ -72,47 +73,58 @@ def _voronoi_phase(csr: CSRGraph, weights, terminals: list[int], matrix=None):
     return dist_arr, parent, closest
 
 
-def _voronoi_from_distances(
-    csr: CSRGraph, weights, dist_arr, terminals: list[int]
-) -> tuple[list[int], "np.ndarray"]:
+def _voronoi_from_distances(csr: CSRGraph, weights, dist_arr, terminals):
     """The canonical Voronoi forest as a pure function of exact distances.
 
     A node's parent is the *tight* inbound neighbor — ``dist[u] + w(u, v)
     == dist[v]``, bit-exact — minimizing ``(dist[u], u)``; ``closest`` is
     the root of the resulting forest (every root is a source, because
     strictly positive weights force ``dist[parent] < dist[child]``).  The
-    dict Mehlhorn applies the same rule edge-by-edge
-    (:func:`repro.core.steiner.canonical_forest_from_distances`), so both
-    reconstruct the same forest from the same distances.  Tight
-    arcs number ``O(|V|)`` in practice and everything here is vectorized:
-    one lexsort for parents, pointer-doubling for roots.
+    dict oracle applies the same rule edge by edge
+    (:func:`repro.core.steiner.canonical_forest_from_distances`).
+
+    Nothing sorts.  Two scatter-mins over the tight arcs pick the parent:
+    the first finds each head's smallest tail distance (float ``min`` is
+    exact), the second the smallest tail index among the tails at exactly
+    that distance.  Pointer doubling then finds the roots.  Returns
+    ``(parent, closest)`` as ``int64`` arrays with ``-1`` for none.
     """
+    # Gathers use ``take`` on index arrays: numpy's boolean-mask indexing
+    # is several times slower at these sizes.
     src = csr.arc_src
     dst = csr.indices
     num_nodes = csr.num_nodes
+    reached = dist_arr.take(src)
+    reached += weights
+    head_dist = dist_arr.take(dst)
+    tight = reached == head_dist
     finite = np.isfinite(dist_arr)
-    tight = finite[src] & finite[dst]
-    tight &= dist_arr[src] + weights == dist_arr[dst]
-    tail = src[tight]
-    head = dst[tight]
-    parent = np.full(num_nodes, -1, dtype=np.int64)
-    if tail.size:
-        order = np.lexsort((tail, dist_arr[tail], head))
-        head_sorted = head[order]
-        first = np.ones(head_sorted.size, dtype=bool)
-        first[1:] = head_sorted[1:] != head_sorted[:-1]
-        parent[head_sorted[first]] = tail[order][first]
+    if not bool(finite.all()):
+        # ``inf + w == inf``: drop arcs into unreached heads.  A finite
+        # head distance can only be met through a finite tail distance
+        # and a finite weight, so the head test suffices.
+        tight &= finite.take(dst)
+    tight = np.flatnonzero(tight)
+    tail = src.take(tight)
+    head = dst.take(tight)
+    tail_dist = dist_arr.take(tail)
+    best_dist = np.full(num_nodes, np.inf)
+    np.minimum.at(best_dist, head, tail_dist)
+    winner = np.flatnonzero(tail_dist == best_dist.take(head))
+    parent = np.full(num_nodes, num_nodes, dtype=np.int64)
+    np.minimum.at(parent, head.take(winner), tail.take(winner))
+    parent[parent == num_nodes] = -1
     # Sources never have tight inbound arcs (w > 0), but pin them anyway.
-    parent[np.asarray(terminals, dtype=np.int64)] = -1
+    parent[terminals] = -1
     jump = np.where(parent >= 0, parent, np.arange(num_nodes, dtype=np.int64))
     while True:
-        doubled = jump[jump]
+        doubled = jump.take(jump)
         if np.array_equal(doubled, jump):
             break
         jump = doubled
     closest = jump
     closest[~finite] = -1
-    return parent.tolist(), closest
+    return parent, closest
 
 
 def _crossing_candidates(
@@ -120,54 +132,66 @@ def _crossing_candidates(
     weights,
     dist,
     closest,
-    terminals_arr,
+    terminals,
 ) -> dict[tuple[int, int], tuple[float, int, int]]:
     """Best crossing edge per terminal pair, via a scatter-min over arcs.
 
     Matches the dict Mehlhorn's per-key minimum of
-    ``(length, min endpoint, max endpoint)`` exactly: lengths are always
-    evaluated as ``dist[lo] + w + dist[hi]`` over the ``lo < hi`` arc
-    orientation (bit-identical floats), ``np.minimum.at`` finds the exact
-    minimum length per terminal pair, and length ties fall back to the
-    first matching arc — arcs arrive in CSR order, which *is* ascending
-    ``(lo, hi)``, so the tie-break is the canonical one.
+    ``(length, min endpoint, max endpoint)`` exactly.  The half arcs
+    (``lo < hi``, one per edge, in CSR order, which *is* ascending
+    ``(lo, hi)``) are first compacted to the ones whose endpoints lie in
+    two different regions; only those gather weights and distances.
+    Lengths are always evaluated as ``dist[lo] + w + dist[hi]`` (bit-identical
+    floats), ``np.minimum.at`` finds the exact minimum length per
+    terminal pair, and length ties fall to the first matching arc in
+    that order — the canonical tie-break.
     """
-    dist_arr = np.asarray(dist, dtype=np.float64)
-    closest_arr = np.asarray(closest, dtype=np.int64)
     positions, tails, heads = csr.half_arcs
-    half_weights = weights[positions]
-    source_a = closest_arr[tails]
-    source_b = closest_arr[heads]
-    mask = (source_a >= 0) & (source_b >= 0) & (source_a != source_b)
-    mask &= np.isfinite(half_weights)
-    if not bool(mask.any()):
-        return {}
-    lo = tails[mask]
-    hi = heads[mask]
-    lengths = dist_arr[lo] + half_weights[mask] + dist_arr[hi]
-    # Compact the source labels (node indices) to 0..t-1 terminal slots so
-    # the scatter-min target stays tiny.
-    slot_a = np.searchsorted(terminals_arr, source_a[mask])
-    slot_b = np.searchsorted(terminals_arr, source_b[mask])
-    pair_key = (
-        np.minimum(slot_a, slot_b) * len(terminals_arr)
-        + np.maximum(slot_a, slot_b)
+    source_a = closest.take(tails)
+    source_b = closest.take(heads)
+    crossing = np.flatnonzero(
+        (source_a != source_b) & (source_a >= 0) & (source_b >= 0)
     )
-    if len(terminals_arr) ** 2 <= 1 << 22:
-        min_length = np.full(len(terminals_arr) ** 2, np.inf)
+    half_weights = weights.take(positions.take(crossing))
+    finite = np.isfinite(half_weights)
+    if not bool(finite.all()):
+        crossing = crossing[finite]
+        half_weights = half_weights[finite]
+    if not crossing.size:
+        return {}
+    lo = tails.take(crossing)
+    hi = heads.take(crossing)
+    lengths = dist.take(lo) + half_weights + dist.take(hi)
+    # Map the source labels (node indices) to 0..t-1 terminal slots so the
+    # scatter-min target stays tiny; ``terminals`` is sorted, so the lower
+    # slot holds the lower terminal.
+    num_terminals = len(terminals)
+    slot = np.empty(csr.num_nodes, dtype=np.int64)
+    slot[terminals] = np.arange(num_terminals, dtype=np.int64)
+    slot_a = slot.take(source_a.take(crossing))
+    slot_b = slot.take(source_b.take(crossing))
+    slot_lo = np.minimum(slot_a, slot_b)
+    slot_hi = np.maximum(slot_a, slot_b)
+    pair_key = slot_lo * num_terminals + slot_hi
+    if num_terminals**2 <= 1 << 22:
+        min_length = np.full(num_terminals**2, np.inf)
     else:
         # Huge terminal sets: a dense |T|^2 scatter-min target would be
         # gigabytes; compact to the pairs actually present instead.
         unique_keys, pair_key = np.unique(pair_key, return_inverse=True)
         min_length = np.full(len(unique_keys), np.inf)
     np.minimum.at(min_length, pair_key, lengths)
+    best = np.flatnonzero(lengths <= min_length[pair_key])
     candidates: dict[tuple[int, int], tuple[float, int, int]] = {}
-    for i in np.flatnonzero(lengths <= min_length[pair_key]):
-        a = int(terminals_arr[slot_a[i]])
-        b = int(terminals_arr[slot_b[i]])
-        key = (a, b) if a < b else (b, a)
-        if key not in candidates:
-            candidates[key] = (float(lengths[i]), int(lo[i]), int(hi[i]))
+    for a, b, length, u, v in zip(
+        terminals[slot_lo[best]].tolist(),
+        terminals[slot_hi[best]].tolist(),
+        lengths[best].tolist(),
+        lo[best].tolist(),
+        hi[best].tolist(),
+    ):
+        if (a, b) not in candidates:
+            candidates[a, b] = (length, u, v)
     return candidates
 
 
@@ -188,21 +212,30 @@ def mehlhorn_steiner_csr(
 
     Raises
     ------
+    InvalidQueryError
+        If the terminal set is empty or holds an index outside
+        ``0..n-1``.
     DisconnectedGraphError
         If the terminals do not lie in a single component.
     """
-    terminals = sorted(set(int(t) for t in terminal_indices))
+    requested = [int(t) for t in terminal_indices]
+    if not requested:
+        raise InvalidQueryError("terminal set must be non-empty")
+    for terminal in requested:
+        if not 0 <= terminal < csr.num_nodes:
+            raise InvalidQueryError(f"terminal {terminal!r} not in graph")
+    terminals = sorted(set(requested))
     if len(terminals) == 1:
         return terminals, []
     if len(weights) and not float(weights.min()) > 0.0:
         raise GraphError("mehlhorn_steiner_csr needs strictly positive weights")
-    dist, parent, closest = _voronoi_phase(csr, weights, terminals, matrix)
     terminals_arr = np.asarray(terminals, dtype=np.int64)
+    dist, parent, closest = _voronoi_phase(csr, weights, terminals_arr, matrix)
     candidates = _crossing_candidates(csr, weights, dist, closest, terminals_arr)
     return steiner_tree_from_voronoi(
         terminals,
         candidates,
-        parent.__getitem__,
+        parent.item,
         lambda a, b: float(weights[csr.arc_weight_position(a, b)]),
     )
 

@@ -914,9 +914,14 @@ class ConnectorService:
             retained, invalidated = self._solver.apply_delta(
                 delta, self._versioned.csr
             )
+        # Most scored sets hold no touched endpoint at all; the C-level
+        # disjointness test settles those without the per-edge scan.
+        touched_nodes = delta.touched_nodes()
         for key in self._scores.keys():
             nodes = key[1]
-            if any(u in nodes and v in nodes for u, v in touched):
+            if not nodes.isdisjoint(touched_nodes) and any(
+                u in nodes and v in nodes for u, v in touched
+            ):
                 self._scores.pop(key)
                 invalidated += 1
             else:

@@ -24,12 +24,14 @@ All tie-breaking (which source claims a node, which crossing edge
 represents a terminal pair, Kruskal and MST orderings) is canonicalized by
 the node's integer position in :func:`repro.graphs.csr.order_map` — the
 same ``0..n-1`` relabeling the CSR arrays use.  Phase 1 has two
-interchangeable implementations: the dict-based
-:func:`voronoi_dijkstra_canonical` below and the scipy-Dijkstra twin in
-:mod:`repro.core.fastpath` (``mehlhorn_steiner_csr``) consuming
-``(indptr, indices, weights)`` directly.  Both hand their Voronoi output
-to the shared :func:`steiner_tree_from_voronoi`, so the two produce
-*identical* trees, not merely equally good ones.
+interchangeable implementations for strictly positive weights: the
+dict-based :func:`dijkstra_distances_canonical` plus
+:func:`canonical_forest_from_distances` below, which serve as the test
+oracle, and the scipy-Dijkstra engine in :mod:`repro.core.fastpath`
+(``mehlhorn_steiner_csr``) consuming ``(indptr, indices, weights)``
+directly.  Both hand their Voronoi output to the shared
+:func:`steiner_tree_from_voronoi`, so the two produce *identical* trees,
+not merely equally good ones.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def mehlhorn_steiner_tree(
         # With strictly positive weights the canonical forest is a pure
         # function of the distances, so a lean distance-only Dijkstra plus
         # the post-hoc forest keeps this path bit-identical to the CSR
-        # backend, whose distances may come from scipy's C Dijkstra rather
+        # engine, whose distances come from scipy's C Dijkstra rather
         # than a Python heap.
         distances = dijkstra_distances_canonical(
             graph, terminal_list, order, node_of
@@ -106,8 +108,9 @@ def mehlhorn_steiner_tree(
 
     # Step 2 input: for every terminal pair, the best crossing edge by the
     # canonical key (length, min endpoint index, max endpoint index).  The
-    # length is always evaluated as dist[lo] + w + dist[hi] so both backends
-    # produce bit-identical floats regardless of edge orientation.
+    # length is always evaluated as dist[lo] + w + dist[hi] so this oracle
+    # and the CSR engine produce bit-identical floats regardless of edge
+    # orientation.
     candidates: dict[tuple[int, int], tuple[float, int, int]] = {}
     for u, v, weight in graph.edges():
         u_idx, v_idx = order[u], order[v]
@@ -150,9 +153,11 @@ def voronoi_dijkstra_canonical(
     Returns index-space lists ``(dist, parent, closest)`` with ``-1``
     sentinels; unsettled nodes keep ``dist = inf``.  Heap entries are
     ``(dist, source_index, node_index, parent_index)``: equal-distance ties
-    settle the lowest source index first, then the lowest node index — the
-    exact rule ``mehlhorn_steiner_csr`` applies on flat arrays, which is
-    what makes the two phase-1 implementations interchangeable.
+    settle the lowest source index first, then the lowest node index.
+    :func:`mehlhorn_steiner_tree` runs this loop only when some weight is
+    not strictly positive; otherwise it, like ``mehlhorn_steiner_csr``,
+    rebuilds the forest from the distances alone
+    (:func:`canonical_forest_from_distances`).
     """
     n = len(node_of)
     inf = math.inf
@@ -249,10 +254,11 @@ def canonical_forest_from_distances(
     minimizing ``(dist[u], u)``; ``closest[v]`` is the root of the
     resulting forest (always a source: positive weights force
     ``dist[parent] < dist[child]``, so chains terminate at distance 0).
-    This is the dict twin of the CSR backend's vectorized
-    ``_voronoi_from_distances``; because it depends only on the distance
-    array, both backends reconstruct the identical forest no matter which
-    Dijkstra produced the distances.
+    The CSR engine's vectorized ``_voronoi_from_distances`` in
+    :mod:`repro.core.fastpath` applies the same rule with scatter-mins;
+    this edge-by-edge loop is the oracle it is tested against.  Because
+    the forest depends only on the distance array, both give the same
+    forest no matter which Dijkstra produced the distances.
     """
     n = len(node_of)
     inf = math.inf
@@ -298,7 +304,7 @@ def steiner_tree_from_voronoi(
     parent_of: Callable[[int], int],
     weight_of: Callable[[int, int], float],
 ) -> tuple[list[int], list[tuple[int, int]]]:
-    """Phases 2–3 of Mehlhorn, shared by the dict and CSR backends.
+    """Phases 2–3 of Mehlhorn, shared by the CSR engine and the dict oracle.
 
     Everything happens in relabeled-index space and every ordering is
     canonical, so the output depends only on the (deterministic) Voronoi

@@ -11,6 +11,7 @@ corpora, not merely results of equal quality.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -18,7 +19,11 @@ from helpers import (
     random_connected_graph,
     random_weighted_graph,
 )
-from repro.core.fastpath import _voronoi_phase, mehlhorn_steiner_csr
+from repro.core.fastpath import (
+    CSRWienerSteinerEngine,
+    _voronoi_phase,
+    mehlhorn_steiner_csr,
+)
 from repro.core.options import SolveOptions
 from repro.core.reference import reference_wiener_steiner
 from repro.core.steiner import (
@@ -29,10 +34,16 @@ from repro.core.steiner import (
     voronoi_dijkstra_canonical,
 )
 from repro.core.wiener_steiner import wiener_steiner
-from repro.errors import GraphError
+from repro.errors import GraphError, InvalidQueryError
 from repro.graphs.csr import CSRGraph, order_map
-from repro.graphs.generators import connectify, erdos_renyi
-from repro.graphs.graph import Graph
+from repro.graphs.generators import (
+    barabasi_albert,
+    connectify,
+    erdos_renyi,
+    grid_graph,
+    hypercube_graph,
+)
+from repro.graphs.graph import Graph, WeightedGraph
 from repro.graphs.traversal import (
     bfs_distances,
     bfs_tree_canonical,
@@ -210,6 +221,99 @@ class TestSteinerEquivalence:
         assert total == tree_total_weight(tree)
 
 
+    @staticmethod
+    def _lemma4_instance(graph, root, lam):
+        """The engine's ``G_{r,λ}`` weight row and its dict twin.
+
+        The row is the engine's Lemma-4 expression, ``+inf`` on arcs the
+        root cannot reach; the dict twin leaves those arcs out, like the
+        reference oracle does.
+        """
+        engine = CSRWienerSteinerEngine(graph)
+        csr = engine.csr
+        arc_max = engine._root_data(root)[2]
+        weights = np.where(arc_max < 0, np.inf, lam + arc_max / lam)
+        wg = WeightedGraph()
+        for node in csr.node_of:
+            wg.add_node(node)
+        positions, tails, heads = csr.half_arcs
+        for k, u, v in zip(positions.tolist(), tails.tolist(), heads.tolist()):
+            if math.isfinite(weights[k]):
+                wg.add_edge(csr.node_of[u], csr.node_of[v], float(weights[k]))
+        return csr, weights, wg
+
+    @pytest.mark.parametrize(
+        "host",
+        [
+            # A BA host plus a cycle the roots cannot reach (+inf arcs).
+            Graph(
+                list(barabasi_albert(150, 2, rng=random.Random(5)).edges())
+                + [(1000 + i, 1000 + (i + 1) % 12) for i in range(12)]
+            ),
+            grid_graph(9, 11),
+            hypercube_graph(6),
+        ],
+        ids=["ba+unreachable", "grid", "hypercube"],
+    )
+    def test_forest_identical_on_tie_heavy_lemma4_weights(self, host):
+        # λ + max(d_r)/λ takes few distinct values, so equal distances and
+        # several tight in-neighbours per node are the rule here: the
+        # forest's (dist[u], u) tie-break decides almost every parent.
+        rng = random.Random(11)
+        reachable = sorted(v for v in host.nodes() if v < 1000)
+        ties = 0
+        for root in rng.sample(reachable, 3):
+            for lam in (0.5, 1.0, 3.0):
+                csr, weights, wg = self._lemma4_instance(host, root, lam)
+                order = order_map(wg)
+                node_of = list(wg.nodes())
+                query = rng.sample(reachable, 5)
+                terminal_indices = sorted({order[v] for v in query} | {order[root]})
+                dist, parent, closest = _voronoi_phase(csr, weights, terminal_indices)
+                dict_dist = voronoi_dijkstra_canonical(
+                    wg, [node_of[t] for t in terminal_indices], order, node_of
+                )[0]
+                assert dist.tolist() == dict_dist
+                dict_parent, dict_closest = canonical_forest_from_distances(
+                    wg, dict_dist, order, node_of, terminal_indices
+                )
+                assert parent.tolist() == dict_parent
+                assert closest.tolist() == dict_closest
+                head_dist = dist[csr.indices]
+                tight = (dist[csr.arc_src] + weights == head_dist) & np.isfinite(head_dist)
+                ties += int((np.bincount(csr.indices[tight]) > 1).sum())
+                nodes, edges = mehlhorn_steiner_csr(csr, weights, terminal_indices)
+                tree = mehlhorn_steiner_tree(wg, [node_of[t] for t in terminal_indices])
+                assert {node_of[i] for i in nodes} == set(tree.nodes())
+                assert {frozenset((node_of[a], node_of[b])) for a, b in edges} == {
+                    frozenset((u, v)) for u, v, _ in tree.edges()
+                }
+        assert ties > 0
+
+    def test_huge_terminal_set_uses_compacted_pair_keys(self):
+        # 2,100 terminals: 2100**2 > 1 << 22, so the crossing scan takes
+        # the np.unique-compacted scatter-min instead of the dense table.
+        rng = random.Random(21)
+        n = 3000
+        wg = WeightedGraph()
+        for i in range(n):
+            wg.add_edge(i, (i + 1) % n, float(rng.randint(1, 3)))
+        for _ in range(600):
+            u, v = rng.sample(range(n), 2)
+            wg.add_edge(u, v, float(rng.randint(1, 3)))
+        terminals = rng.sample(range(n), 2100)
+        assert len(terminals) ** 2 > 1 << 22
+        tree = mehlhorn_steiner_tree(wg, terminals)
+        csr, weights = CSRGraph.from_weighted_graph(wg)
+        nodes, edges = mehlhorn_steiner_csr(
+            csr, weights, [csr.index_of[t] for t in terminals]
+        )
+        assert {csr.node_of[i] for i in nodes} == set(tree.nodes())
+        assert {frozenset((csr.node_of[a], csr.node_of[b])) for a, b in edges} == {
+            frozenset((u, v)) for u, v, _ in tree.edges()
+        }
+
+
 class TestBackendEquality:
     """The headline acceptance property: the engine's connectors are the
     dict reference oracle's, with the same root and λ."""
@@ -265,3 +369,19 @@ class TestBackendEquality:
         weights[0] = 0.0
         with pytest.raises(GraphError):
             mehlhorn_steiner_csr(csr, weights, [0, csr.num_nodes - 1])
+
+    @pytest.mark.parametrize(
+        "terminals, message",
+        [
+            ([], "terminal set must be non-empty"),
+            ([0, 9], "terminal 9 not in graph"),
+            ([-1, 2], "terminal -1 not in graph"),
+        ],
+    )
+    def test_mehlhorn_rejects_invalid_terminals(self, terminals, message):
+        wg = WeightedGraph([(i, i + 1, 1.0) for i in range(4)])
+        csr, weights = CSRGraph.from_weighted_graph(wg)
+        with pytest.raises(InvalidQueryError, match=message):
+            mehlhorn_steiner_csr(csr, weights, terminals)
+        with pytest.raises(InvalidQueryError, match=message):
+            mehlhorn_steiner_tree(wg, terminals)

@@ -554,6 +554,36 @@ class TestServiceApplyDelta:
             service.solve(query)
         assert service.stats().score_hits > before.score_hits
 
+    def test_score_entries_evicted_only_when_an_edge_lands_inside(self):
+        rng = random.Random(61)
+        graph = random_connected_graph(60, 0.08, seed=61)
+        service = ConnectorService(graph)
+        for query in random_query_batch(graph, rng, 12):
+            service.solve(query)
+        keys = service._scores.keys()
+        scored = max((key[1] for key in keys), key=len)
+        # One edge inside a scored set (it must go) and one with a single
+        # endpoint in it (that alone must not evict anything).
+        inside = next(
+            (u, v) for u, v in sorted(graph.edges(), key=repr)
+            if u in scored and v in scored
+        )
+        member = sorted(scored)[0]
+        outsider = next(
+            v for v in sorted(graph.nodes())
+            if v not in scored and not graph.has_edge(member, v)
+        )
+        delta = GraphDelta(inserts=[(member, outsider)], deletes=[inside])
+        touched = delta.touched_edges()
+        expected = [
+            key for key in keys
+            if not any(u in key[1] and v in key[1] for u, v in touched)
+        ]
+        assert any(member in key[1] for key in expected)
+        assert len(expected) < len(keys)
+        service.apply_delta(delta)
+        assert service._scores.keys() == expected
+
 
 # ----------------------------------------------------------------------
 # Tentpole fuzz: epoch identity through the whole serving tower
