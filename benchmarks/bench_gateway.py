@@ -60,7 +60,7 @@ from bench_backend import build_instance
 from bench_serving import make_workload
 from bench_sharded import identical
 
-from repro.core.gateway import AsyncGateway
+from repro.core.gateway import AsyncGateway, nearest_rank
 from repro.core.service import ConnectorService
 from repro.core.wiener_steiner import wiener_steiner
 
@@ -132,11 +132,6 @@ def run_gateway(graph, requests, arrivals, max_batch: int, max_wait_ms: float):
     return asyncio.run(scenario())
 
 
-def percentile(latencies, fraction: float) -> float:
-    ordered = sorted(latencies)
-    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--nodes", type=int, default=10_000)
@@ -203,8 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"naive per-request : {naive_span:8.3f}s makespan "
         f"({naive_throughput:6.2f} req/s, "
-        f"p50 {percentile(naive_latencies, 0.50) * 1e3:7.1f} ms, "
-        f"p95 {percentile(naive_latencies, 0.95) * 1e3:7.1f} ms)",
+        f"p50 {nearest_rank(naive_latencies, 0.50) * 1e3:7.1f} ms, "
+        f"p95 {nearest_rank(naive_latencies, 0.95) * 1e3:7.1f} ms)",
         flush=True,
     )
 
@@ -215,8 +210,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"gateway           : {gateway_span:8.3f}s makespan "
         f"({gateway_throughput:6.2f} req/s, "
-        f"p50 {percentile(gateway_latencies, 0.50) * 1e3:7.1f} ms, "
-        f"p95 {percentile(gateway_latencies, 0.95) * 1e3:7.1f} ms)",
+        f"p50 {nearest_rank(gateway_latencies, 0.50) * 1e3:7.1f} ms, "
+        f"p95 {nearest_rank(gateway_latencies, 0.95) * 1e3:7.1f} ms)",
         flush=True,
     )
 
@@ -289,13 +284,13 @@ def main(argv: list[str] | None = None) -> int:
         "naive_throughput_rps": round(naive_throughput, 3),
         "gateway_throughput_rps": round(gateway_throughput, 3),
         "naive_latency_ms": {
-            "p50": round(percentile(naive_latencies, 0.50) * 1e3, 2),
-            "p95": round(percentile(naive_latencies, 0.95) * 1e3, 2),
+            "p50": round(nearest_rank(naive_latencies, 0.50) * 1e3, 2),
+            "p95": round(nearest_rank(naive_latencies, 0.95) * 1e3, 2),
             "mean": round(statistics.fmean(naive_latencies) * 1e3, 2),
         },
         "gateway_latency_ms": {
-            "p50": round(percentile(gateway_latencies, 0.50) * 1e3, 2),
-            "p95": round(percentile(gateway_latencies, 0.95) * 1e3, 2),
+            "p50": round(nearest_rank(gateway_latencies, 0.50) * 1e3, 2),
+            "p95": round(nearest_rank(gateway_latencies, 0.95) * 1e3, 2),
             "mean": round(statistics.fmean(gateway_latencies) * 1e3, 2),
         },
         "throughput_speedup": round(speedup, 2),

@@ -142,8 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=32,
                        help="most requests per gateway window (default 32)")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="longest a window waits for more arrivals "
-                            "(default 2.0 ms)")
+                       help="longest a request waits for a busy solver "
+                            "before its window is staged; an idle solver "
+                            "dispatches at once (default 2.0 ms)")
     serve.add_argument("--max-queue", type=int, default=1024,
                        help="admission-queue bound; arrivals beyond it "
                             "backpressure (default 1024)")

@@ -12,14 +12,18 @@ gateway is the layer in between:
   :meth:`try_solve` variant *sheds* instead: when the queue is full it
   raises :class:`GatewayOverloadedError` immediately (and counts the shed
   request), the standard fast-fail admission-control policy;
-* **micro-batch windows** — a single batcher task closes a window when it
-  holds ``max_batch`` requests or the oldest request has waited
-  ``max_wait_ms``, whichever comes first, then dispatches the window
-  through the backing service's ``solve_many`` on a thread executor.  The
+* **work-conserving micro-batch windows** — a single batcher task
+  dispatches each window through the backing service's ``solve_many`` on
+  a thread executor, and closes it on whichever comes first: the
+  executor is idle (no earlier window's solve is still running, so
+  waiting would only add latency), the window holds ``max_batch``
+  requests, or its oldest request has waited ``max_wait_ms`` for a busy
+  executor (the window is then staged behind the running one).  The
   event loop never blocks on a sweep, and because the executor is
   single-threaded the backing service (which is not thread-safe) only
-  ever sees one batch at a time — while a window is solving, the next
-  one is already filling;
+  ever sees one batch at a time — while a window is solving, arrivals
+  pile into the next one, which dispatches the moment the executor
+  frees;
 * **cross-arrival coalescing** — the sharded router already dedups
   identical keys *within* a batch; the gateway extends that across
   *arrival time*.  Requests are keyed on
@@ -61,6 +65,7 @@ Quickstart
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import deque
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -75,8 +80,24 @@ __all__ = [
     "GatewayClosedError",
     "GatewayOverloadedError",
     "GatewayStats",
+    "nearest_rank",
     "service_health",
 ]
+
+
+def nearest_rank(samples, fraction: float) -> float:
+    """Nearest-rank percentile: the ``⌈fraction·n⌉``-th smallest sample.
+
+    ``fraction`` must lie in ``[0, 1]``; 0.0 when ``samples`` is empty.
+    The gateway's latency reservoir and the trace replayer both report
+    their p50/p95/p99 through this one rule.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"percentile fraction must be in [0, 1], got {fraction}")
+    ordered = sorted(samples)
+    if not ordered:
+        return 0.0
+    return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
 def service_health(stats) -> dict:
@@ -157,15 +178,10 @@ class GatewayStats:
     def percentile(self, p: float) -> float:
         """The ``p``-th latency percentile in seconds (``0 <= p <= 1``).
 
-        Nearest-rank over the recent-sample reservoir; 0.0 when no
-        request has been served yet.
+        :func:`nearest_rank` over the recent-sample reservoir; 0.0 when
+        no request has been served yet.
         """
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"percentile fraction must be in [0, 1], got {p}")
-        if not self.latency_samples:
-            return 0.0
-        ordered = sorted(self.latency_samples)
-        return ordered[min(len(ordered) - 1, int(p * len(ordered)))]
+        return nearest_rank(self.latency_samples, p)
 
 
 class _Request:
@@ -202,9 +218,12 @@ class AsyncGateway:
     max_batch:
         Most requests per dispatched window (≥ 1).
     max_wait_ms:
-        Longest a window may stay open waiting for more arrivals once it
-        holds a request.  ``0`` disables waiting: every window closes as
-        soon as the queue stops yielding requests synchronously.
+        Longest a request waits for a busy executor: a window whose
+        oldest request has waited this long is staged behind the running
+        one (within ``max_pending_windows``) instead of filling further.
+        An idle executor never makes a request wait.  ``0`` disables
+        waiting: every window closes as soon as the queue stops yielding
+        requests synchronously.
     max_queue:
         Admission-queue bound; :meth:`asolve` backpressures (awaits) and
         :meth:`try_solve` sheds when it is full.
@@ -448,51 +467,67 @@ class AsyncGateway:
     # ------------------------------------------------------------------
     async def _batch_loop(self) -> None:
         loop = asyncio.get_running_loop()
+        # The one pending queue read.  A window that closes while it waits
+        # hands it to the next window instead of abandoning it: it may
+        # already have claimed an arrival.
+        getter: asyncio.Task | None = None
+        # The newest window's solve.  The executor is FIFO, so once this
+        # is done every earlier solve is too and the executor is idle —
+        # even while the window's futures are still being resolved.
+        solving: asyncio.Future | None = None
         closing = False
-        while not closing:
-            item = await self._queue.get()
-            if item is _CLOSE:
-                break
-            window = [item]
-            deadline = loop.time() + self._max_wait
-            while len(window) < self._max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    # Window timer expired; sweep up whatever is already
-                    # queued (free — no extra latency) and dispatch.
-                    while len(window) < self._max_batch:
-                        try:
-                            extra = self._queue.get_nowait()
-                        except asyncio.QueueEmpty:
-                            break
-                        if extra is _CLOSE:
-                            closing = True
-                            break
-                        window.append(extra)
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    continue  # loop once more through the deadline sweep
+        try:
+            while not closing:
+                if getter is None:
+                    item = await self._queue.get()
+                else:
+                    item, getter = await getter, None
                 if item is _CLOSE:
-                    closing = True
                     break
-                window.append(item)
-            # A window slot bounds dispatched-but-unresolved windows: while
-            # none is free the batcher stalls here, the admission queue
-            # fills behind it, and producers feel real backpressure.
-            await self._window_slots.acquire()
-            task = loop.create_task(self._dispatch(window))
-            self._dispatches.add(task)
-            task.add_done_callback(self._dispatches.discard)
-            # Bind the semaphore now: aclose() nulls the run-scoped state
-            # before late done-callbacks get to run.
-            task.add_done_callback(
-                lambda _t, slots=self._window_slots: slots.release()
-            )
+                window = [item]
+                deadline = loop.time() + self._max_wait
+                while len(window) < self._max_batch:
+                    try:
+                        # Whatever is already queued joins for free.
+                        item = self._queue.get_nowait()
+                    except asyncio.QueueEmpty:
+                        remaining = deadline - loop.time()
+                        if solving is None or solving.done() or remaining <= 0:
+                            break  # executor idle, or waited out a busy one
+                        if getter is None:
+                            getter = loop.create_task(self._queue.get())
+                        # Wake on an arrival, the executor freeing, or the
+                        # deadline — whichever comes first.
+                        await asyncio.wait(
+                            (getter, solving),
+                            timeout=remaining,
+                            return_when=asyncio.FIRST_COMPLETED,
+                        )
+                        if not getter.done():
+                            continue
+                        item, getter = getter.result(), None
+                    if item is _CLOSE:
+                        closing = True
+                        break
+                    window.append(item)
+                # A window slot bounds dispatched-but-unresolved windows:
+                # while none is free the batcher stalls here, the admission
+                # queue fills behind it, and producers feel backpressure.
+                await self._window_slots.acquire()
+                solving = self._dispatch(window)
+        finally:
+            # On a normal exit the pending read has nothing left to claim
+            # (_CLOSE is the last item ever queued).  On a cancelled one,
+            # an arrival it claimed stays in _inflight, failed on reopen.
+            if getter is not None:
+                getter.cancel()
 
-    async def _dispatch(self, window: list[_Request]) -> None:
-        """Solve one window on the executor and resolve its futures.
+    def _dispatch(self, window: list[_Request]) -> asyncio.Future:
+        """Submit one window's solve to the executor; returns its future.
+
+        Submitting here, not in the resolving task, puts the solve on the
+        executor before the loop runs anything else; a tracked task then
+        resolves the window's futures and frees its slot.
 
         A failure inside the service fails exactly the requests that
         caused it: when a grouped ``solve_many`` raises, the group is
@@ -568,9 +603,25 @@ class AsyncGateway:
             return resolved
 
         loop = asyncio.get_running_loop()
+        solved = loop.run_in_executor(self._executor, run)
+        task = loop.create_task(self._resolve(solved, groups))
+        self._dispatches.add(task)
+        task.add_done_callback(self._dispatches.discard)
+        # Bind the semaphore now: aclose() nulls the run-scoped state
+        # before late done-callbacks get to run.
+        task.add_done_callback(
+            lambda _t, slots=self._window_slots: slots.release()
+        )
+        return solved
+
+    async def _resolve(
+        self, solved: asyncio.Future, groups: dict[SolveOptions, list[_Request]]
+    ) -> None:
+        """Resolve one window's futures from its executor solve."""
+        loop = asyncio.get_running_loop()
         try:
-            resolved = await loop.run_in_executor(self._executor, run)
-        except BaseException as exc:  # executor torn down under us
+            resolved = await solved
+        except BaseException as exc:  # solve cancelled under us (teardown)
             resolved = [(requests, exc, False) for requests in groups.values()]
         for requests, value, ok in resolved:
             for position, request in enumerate(requests):

@@ -25,20 +25,11 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
+from repro.core.gateway import nearest_rank as percentile
 from repro.loadgen.trace import Trace
 from repro.serving.server import AsyncConnectorClient
 
 __all__ = ["ReplayReport", "replay_trace"]
-
-
-def percentile(samples, fraction: float) -> float:
-    """Nearest-rank percentile of ``samples`` (0.0 when empty)."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    ordered = sorted(samples)
-    if not ordered:
-        return 0.0
-    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
 
 
 @dataclass(frozen=True)

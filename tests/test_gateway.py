@@ -241,6 +241,97 @@ class TestGatewayScheduling:
         assert stats.window_sizes == (3, 3)
         assert stats.mean_window_size == 3.0
 
+    def test_idle_gateway_dispatches_a_lone_request_at_once(self):
+        service = StubService()
+
+        async def scenario():
+            # The executor is idle, so the long wait bound never applies.
+            async with AsyncGateway(service, max_wait_ms=10_000.0) as gateway:
+                result = await asyncio.wait_for(
+                    gateway.asolve([1, 2]), timeout=1.0
+                )
+                return result, gateway.stats()
+
+        result, stats = run(scenario())
+        assert result[1] == frozenset([1, 2])
+        assert stats.window_sizes == (1,)
+
+    def test_arrivals_during_a_solve_form_one_window(self):
+        gate = threading.Event()
+        service = StubService(gate=gate)
+
+        async def scenario():
+            async with AsyncGateway(service, max_wait_ms=10_000.0) as gateway:
+                first = asyncio.ensure_future(gateway.asolve([0, 1]))
+                while not service.calls:  # the first window holds the executor
+                    await asyncio.sleep(0.005)
+                later = [
+                    asyncio.ensure_future(gateway.asolve([i, i + 1]))
+                    for i in range(2, 12, 2)
+                ]
+                await asyncio.sleep(0.02)
+                # Busy executor, far deadline: the next window keeps filling.
+                assert gateway.stats().windows_dispatched == 1
+                gate.set()
+                # It dispatches the moment the executor frees.
+                results = await asyncio.wait_for(
+                    asyncio.gather(first, *later), timeout=1.0
+                )
+                return results, gateway.stats()
+
+        results, stats = run(scenario())
+        assert stats.window_sizes == (1, 5)
+        assert service.calls[1] == [
+            frozenset([i, i + 1]) for i in range(2, 12, 2)
+        ]
+        assert [result[1] for result in results] == [
+            frozenset([i, i + 1]) for i in range(0, 12, 2)
+        ]
+
+    def test_busy_executor_stages_windows_at_the_deadline(self):
+        gate = threading.Event()
+        service = StubService(gate=gate)
+
+        async def scenario():
+            gateway = AsyncGateway(
+                service, max_wait_ms=20.0, max_pending_windows=2
+            )
+            futures = [asyncio.ensure_future(gateway.asolve([0, 1]))]
+            while not service.calls:
+                await asyncio.sleep(0.005)
+            futures += [
+                asyncio.ensure_future(gateway.asolve([i, i + 1]))
+                for i in (2, 4)
+            ]
+            # The executor stays busy, so only the deadline closes this one.
+            while gateway.stats().windows_dispatched < 2:
+                await asyncio.sleep(0.005)
+            staged = gateway.stats()
+            # Both window slots are taken: later windows wait for a slot,
+            # however many deadlines pass.
+            futures += [
+                asyncio.ensure_future(gateway.asolve([i, i + 1]))
+                for i in (6, 8)
+            ]
+            await asyncio.sleep(0.2)
+            held = gateway.stats()
+            solves_while_held = len(service.calls)
+            gate.set()
+            await gateway.aclose()
+            return futures, staged, held, solves_while_held, gateway.stats()
+
+        futures, staged, held, solves_while_held, final = run(scenario())
+        assert staged.window_sizes == (1, 2)
+        assert staged.results_served == 0  # staged while the gate was shut
+        assert held.windows_dispatched == 2  # never above max_pending_windows
+        assert solves_while_held == 1
+        assert all(future.done() for future in futures)
+        assert [future.result()[1] for future in futures] == [
+            frozenset([i, i + 1]) for i in range(0, 10, 2)
+        ]
+        assert final.window_sizes == (1, 2, 2)
+        assert final.in_flight == 0 and final.queued == 0
+
     def test_failing_request_fails_only_itself_in_a_shared_window(self):
         service = StubService(poison=frozenset([666]))
 
@@ -684,3 +775,28 @@ class TestGatewayScheduling:
             failures=0,
         )
         assert stats.mean_window_size == 0.0
+        assert stats.percentile(0.99) == 0.0
+
+    def test_percentile_is_nearest_rank(self):
+        def stats_of(samples):
+            return GatewayStats(
+                queued=0,
+                in_flight=0,
+                admitted=0,
+                coalesced=0,
+                shed=0,
+                windows_dispatched=0,
+                window_sizes=(),
+                window_size_sum=0,
+                results_served=len(samples),
+                failures=0,
+                latency_samples=tuple(samples),
+            )
+
+        assert stats_of([5.0, 1.0, 3.0, 2.0, 4.0]).percentile(0.5) == 3.0
+        # p·n whole: the ⌈p·n⌉-th sample, not the one above it.
+        assert stats_of([4.0, 2.0, 1.0, 3.0]).percentile(0.5) == 2.0
+        assert stats_of([float(i) for i in range(1, 11)]).percentile(0.9) == 9.0
+        assert stats_of([1.0, 2.0]).percentile(1.0) == 2.0
+        with pytest.raises(ValueError):
+            stats_of([1.0]).percentile(1.5)

@@ -65,6 +65,9 @@ class TestPercentile:
         assert percentile(samples, 0.0) == 1.0
         assert percentile(samples, 0.5) == 3.0
         assert percentile(samples, 1.0) == 5.0
+        # p·n whole: the ⌈p·n⌉-th sample, not the one above it.
+        assert percentile([4.0, 2.0, 1.0, 3.0], 0.5) == 2.0
+        assert percentile([float(i) for i in range(1, 11)], 0.9) == 9.0
 
     def test_empty_and_bounds(self):
         assert percentile([], 0.9) == 0.0
