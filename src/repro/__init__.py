@@ -8,7 +8,7 @@ pairwise shortest-path distances).  The package ships:
   approximation algorithm (``ws-q``);
 * :class:`repro.ConnectorService` — the persistent serving API: build one
   index per graph, then ``solve`` / ``solve_many`` many queries against it
-  (cached roots, candidates, and results; optional process parallelism);
+  (cached roots, candidates, and results);
 * :class:`repro.ShardedConnectorService` — the scale-out layer: the same
   contract served by N persistent shard processes behind a
   consistent-hash router, bit-identical to the one-shot solver;

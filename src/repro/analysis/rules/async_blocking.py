@@ -39,7 +39,6 @@ BLOCKING_CALLS = {
 BLOCKING_METHODS = {
     "solve_many",
     "apply_delta",
-    "solve_parallel_roots",
     "recv",
     "recv_bytes",
     "send_bytes",

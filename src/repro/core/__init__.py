@@ -32,7 +32,6 @@ from repro.core.objectives import (
     wiener_of_nodes,
 )
 from repro.core.options import FunctionMethod, Method, SolveOptions
-from repro.core.parallel import parallel_wiener_steiner, sharded_batch
 from repro.core.result import ConnectorResult
 from repro.core.service import ConnectorService, ServiceStats, SweepOutcome
 from repro.core.sharded import ShardedConnectorService, ShardedStats
@@ -44,11 +43,6 @@ from repro.core.steiner import (
     steiner_tree_unweighted,
     tree_total_weight,
     voronoi_dijkstra_canonical,
-)
-from repro.core.weighted import (
-    WeightedConnectorResult,
-    weighted_wiener_index,
-    wiener_steiner_weighted,
 )
 from repro.core.wiener_steiner import (
     EXACT_SCORING_THRESHOLD,
@@ -95,10 +89,5 @@ __all__ = [
     "voronoi_dijkstra_canonical",
     "EXACT_SCORING_THRESHOLD",
     "minimum_wiener_connector",
-    "parallel_wiener_steiner",
-    "sharded_batch",
     "wiener_steiner",
-    "WeightedConnectorResult",
-    "weighted_wiener_index",
-    "wiener_steiner_weighted",
 ]

@@ -288,7 +288,7 @@ class CSRWienerSteinerEngine:
     ----------
     graph:
         The host :class:`~repro.graphs.graph.Graph`; may be omitted when a
-        prebuilt ``csr`` is supplied (the parallel workers do this — they
+        prebuilt ``csr`` is supplied (shard replicas do this — they
         receive only the int arrays, never a pickled graph).
     csr:
         A prebuilt :class:`~repro.graphs.csr.CSRGraph` to adopt instead of

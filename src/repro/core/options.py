@@ -1,16 +1,14 @@
 """Uniform solve configuration: :class:`SolveOptions` and the :class:`Method` protocol.
 
-Before the serving redesign every entry point grew its own keyword soup —
-``wiener_steiner(beta, roots, selection, adjust, lambda_values)``,
-``parallel_wiener_steiner(max_workers, beta, adjust)``,
-``wiener_steiner_weighted(beta, max_lambda_values)`` — and the baseline
-registry used a third, positional-only convention.  This module collapses
-all of that into two small contracts:
+Before the serving redesign ``wiener_steiner(beta, roots, selection,
+adjust, lambda_values)`` took a keyword soup and the baseline registry
+used a second, positional-only convention.  This module collapses both
+into two small contracts:
 
 * :class:`SolveOptions` — a frozen (hence hashable, hence cacheable)
   dataclass carrying every tunable of a connector solve.  It is the cache
   key unit of :class:`repro.core.service.ConnectorService` and the only
-  payload besides the graph that the parallel workers receive.
+  payload besides the graph's CSR arrays that a shard replica receives.
 * :class:`Method` — the protocol every connector method implements:
   ``solve(graph, query, options)`` plus a ``name`` tag.  The paper's
   algorithm (``ws-q``) and all four baselines (``st``, ``ppr``, ``cps``,
@@ -27,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 from collections.abc import Iterable
 from typing import Protocol, runtime_checkable
 
@@ -49,6 +48,14 @@ def stable_repr(value) -> str:
     if isinstance(value, tuple):
         return "(" + ",".join(stable_repr(v) for v in value) + ")"
     return repr(value)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 #: Valid candidate-scoring policies (see :data:`SolveOptions.selection`).
@@ -129,6 +136,21 @@ class SolveOptions:
             object.__setattr__(self, "lambda_values", tuple(self.lambda_values))
         if not self.method or not isinstance(self.method, str):
             raise ValueError(f"method must be a non-empty string, got {self.method!r}")
+        # Type checks come first: values decoded from a JSON request may be
+        # any JSON type, and a string "no" must not read as a true flag nor
+        # a float budget fail halfway through a sweep.
+        for name in ("adjust", "prune"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(
+                    f"{name} must be a bool, got {getattr(self, name)!r}"
+                )
+        for name in ("exact_threshold", "sample_sources", "sample_seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                )
+        if not _is_real(self.beta):
+            raise ValueError(f"beta must be a real number, got {self.beta!r}")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.selection not in SELECTIONS:
@@ -144,7 +166,7 @@ class SolveOptions:
                 )
             bad = [
                 lam for lam in self.lambda_values
-                if not (math.isfinite(lam) and lam > 0)
+                if not (_is_real(lam) and math.isfinite(lam) and lam > 0)
             ]
             if bad:
                 raise ValueError(

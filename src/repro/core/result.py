@@ -41,8 +41,7 @@ class ConnectorResult:
     metadata: dict = field(default_factory=dict, compare=False)
 
     #: ``cached_property`` values recomputable from ``host`` + ``nodes``;
-    #: stripped from pickles so a result crossing a process boundary (the
-    #: parallel and sharded serving layers ship results back to routers)
+    #: stripped from pickles so a result crossing a process boundary
     #: never drags a materialized subgraph along.  They repopulate lazily
     #: on first access after unpickling, bit-identically.
     _DERIVED = ("subgraph", "wiener_index", "density")

@@ -20,11 +20,6 @@ rebuilt the CSR arrays, re-ran every root BFS, and threw all of it away.
   whole ``(query, options)`` result are each pure functions of their key,
   so repeated and overlapping queries are answered from cache with
   *bit-identical* connectors;
-* **array-shipping parallelism** — ``solve_many(parallel=True)`` and the
-  per-root map of :func:`repro.core.parallel.parallel_wiener_steiner`
-  send workers the two CSR int arrays (plus the label list), never a
-  pickled ``Graph``; each worker process rebuilds its engine from the
-  arrays once and then serves its share of the batch;
 * **optional landmark index** — a :class:`repro.graphs.landmarks.LandmarkIndex`
   built once per service (on the shared CSR arrays) for approximate
   distance queries alongside exact solves.
@@ -34,9 +29,9 @@ Identity contract
 
 ``ConnectorService.solve`` returns the *same connector, bit for bit*, as
 the one-shot :func:`repro.core.wiener_steiner.wiener_steiner` under equal
-options — cold or warm caches, after LRU eviction, sequentially or in
-parallel.  Every cache key captures the full input of the value it
-stores, and the λ×root sweep below is the same canonical loop the
+options — cold or warm caches, after LRU eviction, alone or inside a
+``solve_many`` batch.  Every cache key captures the full input of the
+value it stores, and the λ×root sweep below is the same canonical loop the
 one-shot path always ran (``wiener_steiner()`` is now literally a
 throwaway service).  The property-test suite asserts this on random
 corpora.
@@ -54,10 +49,8 @@ Quickstart
 from __future__ import annotations
 
 import math
-import os
 import time
-from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.core.fastpath import CSRWienerSteinerEngine
@@ -180,8 +173,8 @@ class ServiceStats:
 class SweepOutcome:
     """The picklable outcome of one λ×root sweep (label space).
 
-    This is the unit the parallel and sharded serving layers ship between
-    processes: everything a graph-holding router needs to build a
+    This is the unit the sharded serving layer ships between processes:
+    everything a graph-holding router needs to build a
     :class:`~repro.core.result.ConnectorResult`, and nothing it does not
     (no host graph, no subgraph).
     """
@@ -201,7 +194,7 @@ class ConnectorService:
     ----------
     graph:
         The host graph.  May be ``None`` when a prebuilt ``csr`` is given
-        (the parallel workers construct services this way); such a
+        (shard replicas construct services this way); such a
         service can run sweeps but only the graph-holding parent can
         build :class:`~repro.core.result.ConnectorResult` objects.
     options:
@@ -268,17 +261,31 @@ class ConnectorService:
             return self.graph.num_nodes
         return self._versioned.csr.num_nodes
 
-    def _validate(self, query_set: frozenset) -> None:
+    def _validate(self, query_set: frozenset, options: SolveOptions) -> None:
+        """Reject a query or pinned root list the graph cannot serve.
+
+        Runs before any sweep work, so a bad request fails with a typed
+        :class:`~repro.errors.InvalidQueryError` (which the sharded router
+        raises before it scatters) instead of a ``KeyError`` mid-sweep.
+        """
         if self.graph is not None:
             _validate_query(self.graph, query_set)
-            return
-        if not query_set:
-            raise InvalidQueryError("query set must be non-empty")
-        missing = [q for q in query_set if q not in self._versioned.csr.index_of]
-        if missing:
-            raise InvalidQueryError(
-                f"query vertices not in graph: {sorted(map(repr, missing))}"
-            )
+            known = self.graph.has_node
+        else:
+            if not query_set:
+                raise InvalidQueryError("query set must be non-empty")
+            known = self._versioned.csr.index_of.__contains__
+            missing = [q for q in query_set if not known(q)]
+            if missing:
+                raise InvalidQueryError(
+                    f"query vertices not in graph: {sorted(map(repr, missing))}"
+                )
+        if options.roots is not None:
+            missing = [r for r in options.roots if not known(r)]
+            if missing:
+                raise InvalidQueryError(
+                    f"root candidates not in graph: {sorted(map(repr, missing))}"
+                )
 
     def index_digest(self) -> str:
         """A process- and host-stable hex digest of the graph index content.
@@ -351,7 +358,7 @@ class ConnectorService:
           candidate LRU per ``(root, λ)`` entry.
         """
         started = time.perf_counter()
-        self._validate(query_set)
+        self._validate(query_set, options)
 
         if len(query_set) == 1:
             only = next(iter(query_set))
@@ -617,89 +624,32 @@ class ConnectorService:
         self,
         queries: Iterable[Iterable[Node]],
         options: SolveOptions | None = None,
-        *,
-        parallel: bool = False,
-        max_workers: int | None = None,
     ) -> list[ConnectorResult]:
         """Solve a batch of queries; returns results in input order.
 
-        Sequentially (default) the batch flows through :meth:`solve`, so
-        the engine's root BFS cache deduplicates shared roots across
-        queries and repeated queries are free.  With ``parallel=True`` the
-        *distinct* uncached queries are distributed over worker processes
-        that receive the shared CSR int arrays (not a pickled graph) and
-        keep their own engine caches for the jobs they serve.
+        The batch flows through :meth:`solve`, so the engine's root BFS
+        cache deduplicates shared roots across queries.  Each distinct
+        query set is solved once per call, in input order, and its repeats
+        are answered from a batch-local map — so repeated queries are free
+        even when the result LRU is smaller than the batch.  A repeat
+        counts as a result-cache hit, as it would with a large cache.
         """
-        query_sets = [frozenset(q) for q in queries]
         opts = self._merge(options)
-        if not parallel or opts.method != "ws-q":
-            return [self.solve(query_set, opts) for query_set in query_sets]
-        return self._solve_many_parallel(query_sets, opts, max_workers)
-
-    def solve_parallel_roots(
-        self,
-        query: Iterable[Node],
-        options: SolveOptions | None = None,
-        *,
-        max_workers: int | None = None,
-    ) -> ConnectorResult:
-        """The §6.6 Map-Reduce: one worker per candidate root.
-
-        Each worker receives the shared CSR arrays, sweeps the λ grid for
-        its single root with exact (``"wiener"``) scoring, and reports the
-        best candidate; the driver keeps the overall winner.  Equivalent
-        in quality to :meth:`solve` with ``selection="wiener"`` (ties
-        between equal-quality candidates may resolve differently).
-        """
-        if self.graph is None:
-            raise GraphError("solve_parallel_roots needs the original graph")
-        opts = self._merge(options).replace(selection="wiener")
-        query_set = frozenset(query)
-        self._validate(query_set)
-        if len(query_set) == 1:
-            return self.solve(query_set, opts)
-
-        roots = _root_list(opts, query_set)
-        workers = max_workers or min(len(roots), os.cpu_count() or 1)
-        jobs = [(tuple(sorted(query_set, key=repr)), (root,)) for root in roots]
-        payload = self.worker_payload(opts)
-        best: SweepOutcome | None = None
-        total_candidates = 0
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(payload,),
-        )
-        try:
-            for solved in pool.map(_worker_solve_roots, jobs):
-                total_candidates += solved.candidates
-                if best is None or solved.key < best.key:
-                    best = solved
-        finally:
-            # A worker fault surfaces mid-iteration; without cancelling the
-            # queued jobs the join can only happen after every remaining job
-            # runs, and an interrupted parent leaks pool semaphores.  The
-            # explicit finally-joined shutdown reaps the workers on every
-            # exit path (tests/test_service.py asserts clean teardown).
-            pool.shutdown(wait=True, cancel_futures=True)
-
-        assert best is not None and best.key < math.inf
-        self._queries_served += 1
-        return ConnectorResult(
-            host=self.graph,
-            nodes=best.nodes,
-            query=query_set,
-            method="ws-q",
-            metadata={
-                "root": best.root,
-                "parallel": True,
-                "workers": workers,
-                "candidates": total_candidates,
-            },
-        )
+        batch: dict[frozenset, ConnectorResult] = {}
+        results = []
+        for query in queries:
+            query_set = frozenset(query)
+            result = batch.get(query_set)
+            if result is None:
+                result = batch[query_set] = self.solve(query_set, opts)
+            else:
+                self._results.hits += 1
+                self._queries_served += 1
+            results.append(result)
+        return results
 
     # ------------------------------------------------------------------
-    # Parallel plumbing (array shipping)
+    # Shard-replica seeding (array shipping)
     # ------------------------------------------------------------------
     def worker_payload(
         self,
@@ -710,10 +660,10 @@ class ConnectorService:
         """The picklable seed of a worker-side replica of this service.
 
         That is the two CSR int arrays plus the label list — orders of
-        magnitude less pickling than the dict-of-sets ``Graph`` the old
-        ``core.parallel`` shipped.  ``cache_limits``
-        forwards ``max_cached_*`` constructor bounds to the replica, so a
-        sharded deployment can pin every shard's memory footprint.
+        magnitude less pickling than the dict-of-sets ``Graph``.
+        ``cache_limits`` forwards ``max_cached_*`` constructor bounds to the
+        replica, so a sharded deployment can pin every shard's memory
+        footprint.
 
         Feed the payload to :func:`service_from_payload` in the worker.
         """
@@ -730,67 +680,6 @@ class ConnectorService:
             # the right version in the mutate/handshake protocol.
             "epoch": self.epoch,
         }
-
-    def _solve_many_parallel(
-        self,
-        query_sets: Sequence[frozenset],
-        opts: SolveOptions,
-        max_workers: int | None,
-    ) -> list[ConnectorResult]:
-        # Deduplicate the batch and strip queries already served: workers
-        # only ever see distinct, uncached work.  Results for this batch
-        # are held in a local map so LRU eviction (a bounded result cache
-        # smaller than the batch) can never lose them mid-call.
-        batch: dict[frozenset, ConnectorResult] = {}
-        pending: list[frozenset] = []
-        pending_set: set[frozenset] = set()
-        for query_set in query_sets:
-            if query_set in batch or query_set in pending_set:
-                continue
-            cached = self._results.get((query_set, opts))
-            if cached is not None:
-                batch[query_set] = cached
-            else:
-                self._validate(query_set)
-                pending.append(query_set)
-                pending_set.add(query_set)
-        if pending:
-            payload = self.worker_payload(opts)
-            # Batch-level root co-location: queries that share terminals
-            # share per-root BFS tables inside a worker's engine cache, so
-            # order the batch by its canonical root tuple and hand the
-            # pool contiguous chunks — overlapping queries land in one
-            # process and reuse its tables instead of recomputing them
-            # across the pool.  Results are keyed by query set, so the
-            # reorder cannot change what any caller receives.
-            pending.sort(
-                key=lambda q: tuple(repr(r) for r in _root_list(opts, q))
-            )
-            jobs = [tuple(sorted(q, key=repr)) for q in pending]
-            workers = max_workers or min(len(pending), os.cpu_count() or 1)
-            chunksize = max(1, len(jobs) // (workers * 4))
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(payload,),
-            )
-            try:
-                solutions = pool.map(_worker_solve, jobs, chunksize=chunksize)
-                for query_set, solved in zip(pending, solutions):
-                    result = self._to_result(
-                        query_set,
-                        solved,
-                        extra={"parallel": True, "workers": workers},
-                    )
-                    batch[query_set] = result
-                    self._results.put((query_set, opts), result)
-            finally:
-                # Join the pool on *every* exit path and cancel what never
-                # started: a fault in one worker job must not strand queued
-                # jobs or leak the pool's semaphores past the call.
-                pool.shutdown(wait=True, cancel_futures=True)
-        self._queries_served += len(query_sets)
-        return [batch[query_set] for query_set in query_sets]
 
     def _to_result(
         self, query_set: frozenset, solved: SweepOutcome, extra: dict | None = None
@@ -1024,10 +913,10 @@ class ConnectorService:
 def _root_list(options: SolveOptions, query_set: frozenset) -> list:
     """The canonical root-candidate list of one sweep.
 
-    Shared by the sequential sweep and the parallel-roots map so the two
-    paths can never diverge on root handling (order, dedup, the Lemma-5
-    default of the query set itself) — divergence here silently breaks the
-    bit-identity contract between them.
+    Shared by the service sweep and the dict oracle in
+    :mod:`repro.core.reference` so the two can never diverge on root
+    handling (order, dedup, the Lemma-5 default of the query set itself) —
+    divergence here silently breaks the bit-identity contract between them.
     """
     roots = (
         list(dict.fromkeys(options.roots))
@@ -1116,8 +1005,8 @@ def service_from_payload(payload: dict) -> ConnectorService:
     The inverse of :meth:`ConnectorService.worker_payload` — this is the
     whole picklable worker API: a graph-less service sharing the router's
     int arrays (it can :meth:`~ConnectorService.sweep` but not build
-    results).  Used by both the per-batch pools above and the persistent shard
-    processes of :mod:`repro.core.sharded`.
+    results).  Used by the persistent shard processes of
+    :mod:`repro.core.sharded`.
     """
     limits = payload.get("limits") or {}
     epoch = payload.get("epoch", 0)
@@ -1125,30 +1014,3 @@ def service_from_payload(payload: dict) -> ConnectorService:
     return ConnectorService(
         csr=csr, options=payload["options"], epoch=epoch, **limits
     )
-
-
-# ----------------------------------------------------------------------
-# Worker-process globals (installed once per process by the initializer).
-# ----------------------------------------------------------------------
-_WORKER_SERVICE: ConnectorService | None = None
-
-
-def _worker_init(payload) -> None:
-    global _WORKER_SERVICE
-    _WORKER_SERVICE = service_from_payload(payload)
-
-
-def _worker_solve(query_tuple) -> SweepOutcome:
-    """solve_many job: one full sweep for one query."""
-    assert _WORKER_SERVICE is not None
-    return _WORKER_SERVICE._solve_ws(
-        frozenset(query_tuple), _WORKER_SERVICE.options
-    )
-
-
-def _worker_solve_roots(args) -> SweepOutcome:
-    """parallel-roots job: sweep the λ grid for one pinned root."""
-    assert _WORKER_SERVICE is not None
-    query_tuple, roots = args
-    options = _WORKER_SERVICE.options.replace(roots=roots)
-    return _WORKER_SERVICE._solve_ws(frozenset(query_tuple), options)

@@ -1217,7 +1217,7 @@ class ShardedConnectorService:
         if opts.method != "ws-q":
             return [self._local.solve(query_set, opts) for query_set in query_sets]
         for query_set in query_sets:
-            self._local._validate(query_set)
+            self._local._validate(query_set, opts)
         self._heal()
 
         # Dedupe identical in-flight keys and scatter one request each.

@@ -10,7 +10,7 @@ import pytest
 
 from repro import minimum_wiener_connector
 from repro.baselines import METHODS
-from repro.core import parallel_wiener_steiner, wiener_steiner
+from repro.core import wiener_steiner
 from repro.core.exact import brute_force
 from repro.datasets import karate_club, load_community_dataset, load_dataset, puc_like
 from repro.experiments.reporting import render_table
@@ -74,14 +74,6 @@ class TestFullPipelines:
         st = steiner_connector(graph, terminals)
         ws = wiener_steiner(graph, terminals)
         assert st.wiener_index >= ws.wiener_index * 0.9
-
-    def test_parallel_matches_quality_on_dataset(self):
-        graph = load_dataset("football")
-        rng = random.Random(2)
-        query = rng.sample(sorted(graph.nodes()), 4)
-        sequential = wiener_steiner(graph, query, selection="wiener")
-        parallel = parallel_wiener_steiner(graph, query, max_workers=2)
-        assert parallel.wiener_index == sequential.wiener_index
 
     def test_exact_chain_consistency(self):
         """brute force == branch and bound == ws-q upper bound ordering."""

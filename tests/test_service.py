@@ -2,10 +2,10 @@
 
 The contract under test is the identity contract of
 :mod:`repro.core.service`: ``ConnectorService.solve`` / ``solve_many`` —
-sequential or parallel, cold or warm caches, before and after LRU
-eviction — must return connectors *identical* to the one-shot
-``wiener_steiner`` on random corpora, while the :class:`SolveOptions` /
-:class:`Method` layer must dispatch every method uniformly.
+cold or warm caches, before and after LRU eviction — must return
+connectors *identical* to the one-shot ``wiener_steiner`` on random
+corpora, while the :class:`SolveOptions` / :class:`Method` layer must
+dispatch every method uniformly.
 """
 
 import random
@@ -23,8 +23,8 @@ from repro.core.options import FunctionMethod, Method, SolveOptions
 from repro.core.reference import reference_wiener_steiner
 from repro.core.service import ConnectorService, service_from_payload
 from repro.core.wiener_steiner import wiener_steiner
-from repro.errors import DisconnectedGraphError, GraphError, InvalidQueryError
-from repro.graphs.graph import Graph
+from repro.datasets import karate_club
+from repro.errors import GraphError, InvalidQueryError
 from repro.graphs.landmarks import LandmarkIndex
 from repro.graphs.traversal import bfs_distances
 
@@ -159,6 +159,20 @@ class TestServiceIdentity:
         assert_connector_identical(results[0], wiener_steiner(g, q1))
         assert_connector_identical(results[1], wiener_steiner(g, q2))
 
+    def test_solve_many_dedups_past_a_small_result_cache(self):
+        """Each distinct query set is swept once per batch, even when the
+        result LRU is too small to hold the repeat until it comes round."""
+        service = ConnectorService(karate_club(), max_cached_results=1)
+        results = service.solve_many([[12, 25, 30], [1, 33], [12, 25, 30]])
+        assert results[2] is results[0]
+        stats = service.stats()
+        assert stats.result_misses == 2
+        assert stats.result_hits == 1
+        assert stats.queries_served == 3
+        assert_connector_identical(
+            results[0], wiener_steiner(karate_club(), [12, 25, 30])
+        )
+
     def test_single_vertex_query(self, triangle):
         result = ConnectorService(triangle).solve([1])
         assert result.nodes == frozenset([1])
@@ -174,6 +188,22 @@ class TestServiceIdentity:
     def test_empty_roots_raises(self, triangle):
         with pytest.raises(InvalidQueryError):
             ConnectorService(triangle).solve([0, 1], SolveOptions(roots=()))
+
+    def test_unknown_root_raises_before_the_sweep(self):
+        """A pinned root outside the graph is a typed validation error on
+        both the graph-holding and the bare-CSR (shard replica) service."""
+        graph = karate_club()
+        service = ConnectorService(graph)
+        replica = service_from_payload(service.worker_payload())
+        options = SolveOptions(roots=(999, 12))
+        with pytest.raises(InvalidQueryError, match="999"):
+            service.solve([12, 25, 30], options)
+        with pytest.raises(InvalidQueryError, match="999"):
+            replica.sweep([12, 25, 30], options)
+        assert service.stats().cached_roots == 0
+        assert replica.stats().cached_roots == 0
+        pinned = service.solve([12, 25, 30], options.replace(roots=(12,)))
+        assert pinned.metadata["root"] == 12
 
     def test_needs_graph_or_csr(self):
         with pytest.raises(GraphError):
@@ -241,79 +271,6 @@ class TestShardWorkerAPI:
         stats = replica.stats()
         assert stats.result_cache_size == 1
         assert stats.cached_roots <= 1
-
-
-class TestParallelServing:
-    @pytest.mark.parametrize("reference", REFERENCES)
-    def test_solve_many_parallel_matches_one_shot(self, reference):
-        g = random_connected_graph(40, 0.1, 23)
-        rng = random.Random(23)
-        queries = random_query_batch(g, rng, 3, lo=2, hi=4)
-        queries.append(queries[0])  # a duplicate the batch must dedupe
-        service = ConnectorService(g)
-        results = service.solve_many(queries, parallel=True, max_workers=2)
-        assert len(results) == len(queries)
-        for query, result in zip(queries, results):
-            assert_matches_reference(result, g, query, reference)
-        assert results[-1] is results[0]
-        assert results[0].metadata["parallel"] is True
-        assert results[0].metadata["workers"] == 2
-
-    def test_parallel_batch_larger_than_result_cache(self):
-        """A result cache smaller than the batch must not lose results
-        mid-call (they are held locally until the batch is assembled)."""
-        g = random_connected_graph(36, 0.1, 67)
-        rng = random.Random(67)
-        queries = random_query_batch(g, rng, 4, lo=2, hi=3)
-        service = ConnectorService(g, max_cached_results=1)
-        results = service.solve_many(queries, parallel=True, max_workers=2)
-        for query, result in zip(queries, results):
-            assert result.nodes == wiener_steiner(g, query).nodes
-
-    def test_parallel_cold_batch_reports_no_phantom_hits(self):
-        g = random_connected_graph(36, 0.1, 73)
-        rng = random.Random(73)
-        queries = random_query_batch(g, rng, 3, lo=2, hi=3)
-        service = ConnectorService(g)
-        service.solve_many(queries, parallel=True, max_workers=2)
-        stats = service.stats()
-        assert stats.result_hits == 0
-        assert stats.result_misses == len(queries)
-        assert stats.queries_served == len(queries)
-
-    def test_worker_fault_tears_pool_down_cleanly(self):
-        """Regression: a fault inside a pool worker must fail the call AND
-        leave no pool processes (or their semaphores) behind — the shutdown
-        is finally-joined with queued jobs cancelled.  The fault is injected
-        naturally: a query spanning components passes the router-side
-        membership check and explodes only inside the worker sweep."""
-        import multiprocessing
-        import time
-
-        g = Graph([(0, 1), (1, 2), (2, 3), (10, 11), (11, 12)])
-        service = ConnectorService(g)
-        with pytest.raises(DisconnectedGraphError):
-            service.solve_many(
-                [[0, 11], [0, 3], [1, 3]], parallel=True, max_workers=2
-            )
-        deadline = time.monotonic() + 5.0
-        while multiprocessing.active_children():
-            assert time.monotonic() < deadline, (
-                f"leaked pool processes: {multiprocessing.active_children()}"
-            )
-            time.sleep(0.01)
-        # the service itself must survive the failed batch
-        [result] = service.solve_many([[0, 3]], parallel=True, max_workers=2)
-        assert result.nodes == wiener_steiner(g, [0, 3]).nodes
-
-    def test_parallel_skips_already_cached(self):
-        g = random_connected_graph(36, 0.1, 29)
-        rng = random.Random(29)
-        query = rng.sample(sorted(g.nodes()), 4)
-        service = ConnectorService(g)
-        sequential = service.solve(query)
-        [parallel] = service.solve_many([query], parallel=True, max_workers=2)
-        assert parallel is sequential  # no worker pool touched for it
 
 
 class TestSampledSelection:

@@ -26,6 +26,7 @@ from repro.core.options import SolveOptions
 from repro.core.service import ConnectorService
 from repro.core.sharded import ShardedConnectorService
 from repro.core.wiener_steiner import wiener_steiner
+from repro.datasets import karate_club
 from repro.serving.protocol import (
     canonical_sort,
     decode_line,
@@ -77,6 +78,28 @@ class TestProtocol:
             options_from_payload({"bogus": 1})
         with pytest.raises(ValueError, match="JSON object"):
             options_from_payload([1, 2])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"adjust": "no"},
+            {"prune": "yes"},
+            {"adjust": 1},
+            {"exact_threshold": 1.5},
+            {"exact_threshold": True},
+            {"sample_sources": 2.5, "selection": "sampled"},
+            {"sample_seed": "0"},
+            {"beta": "x"},
+            {"beta": True},
+            {"lambda_values": [1.0, "x"]},
+            {"lambda_values": [True]},
+        ],
+    )
+    def test_wrongly_typed_option_values_rejected(self, payload):
+        """JSON values of the wrong type fail at construction with a
+        ``ValueError``, never read as truthy flags or fail mid-sweep."""
+        with pytest.raises(ValueError):
+            options_from_payload(payload)
 
     def test_encode_decode_line(self):
         message = {"query": [1, 2], "id": 7}
@@ -163,6 +186,33 @@ class TestGatewayServer:
         assert missing.error_type == "InvalidQueryError"
         assert bad_options.error_type == "ValueError"
         assert document["size"] >= 2
+
+    def test_unknown_root_gets_a_typed_error_over_the_wire(self):
+        """A pinned root outside the graph is an ``InvalidQueryError``
+        reply, and the same connection then serves a valid query."""
+        graph = karate_club()
+        query = [12, 25, 30]
+
+        async def scenario():
+            gateway = AsyncGateway(ConnectorService(graph))
+            try:
+                async with GatewayServer(gateway, port=0) as server:
+                    async with await AsyncConnectorClient.connect(
+                        port=server.port
+                    ) as client:
+                        bad_root = await client.request(
+                            {"query": query, "options": {"roots": [999]}}
+                        )
+                        document = await client.solve(query)
+                        return bad_root, document
+            finally:
+                await gateway.aclose()
+
+        bad_root, document = run(scenario())
+        assert bad_root["ok"] is False
+        assert bad_root["error_type"] == "InvalidQueryError"
+        assert "999" in bad_root["error"]
+        assert document["nodes"] == canonical_sort(wiener_steiner(graph, query).nodes)
 
     def test_invalid_options_get_typed_errors_at_the_json_boundary(self):
         """A λ of 0 and the removed ``backend`` field are each refused

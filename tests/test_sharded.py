@@ -32,6 +32,7 @@ from repro.core.sharded import (
     request_digest,
 )
 from repro.core.wiener_steiner import wiener_steiner
+from repro.datasets import karate_club
 from repro.errors import DisconnectedGraphError, InvalidQueryError
 from repro.graphs.graph import Graph
 
@@ -318,6 +319,19 @@ class TestRouter:
             with pytest.raises(InvalidQueryError):
                 sharded.solve([10**9])
             assert sharded.stats().requests_routed == 0
+
+    def test_unknown_root_raised_locally(self):
+        """A pinned root outside the graph is a typed validation error
+        at the router: no shard sees the request, and the ring still
+        serves the next one."""
+        g = karate_club()
+        options = SolveOptions(roots=(999,))
+        with ShardedConnectorService(g, n_shards=2) as sharded:
+            with pytest.raises(InvalidQueryError, match="999"):
+                sharded.solve([12, 25, 30], options)
+            assert sharded.stats().requests_routed == 0
+            result = sharded.solve([12, 25, 30])
+            assert result.nodes == wiener_steiner(g, [12, 25, 30]).nodes
 
     def test_single_vertex_query(self):
         g = random_connected_graph(20, 0.2, 41)
